@@ -74,10 +74,18 @@ def _jsonable(obj):
     return obj
 
 
+class NonFiniteReport(Exception):
+    """A report holds NaN or an infinity: the computation behind it failed."""
+
+
 def emit(report: dict, fmt: str, path: str | None):
-    if fmt == "json":
-        text = json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
-    else:
+    """Write the report as JSON or CSV. Either way it must be valid JSON, so a
+    NaN or infinite value raises NonFiniteReport before anything is written."""
+    try:
+        text = json.dumps(_jsonable(report), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NonFiniteReport(str(exc)) from None
+    if fmt != "json":
         rows = report.get("rows") or [report]
         buf = io.StringIO()
         fields = ["estimator", "k", "d", "value", "std_error", "reference",
@@ -306,7 +314,7 @@ def cmd_thermal(args) -> int:
     d = 2**args.n
     seed = args.seed if args.seed is not None else 0
     sampler = lambda rng: dm.gue_hamiltonian(d, rng)
-    est = fp.thermal_W(sampler, args.beta, args.t, args.k, args.samples, seed, d)
+    est = fp.thermal_W(sampler, args.beta, args.t, args.k, args.samples, seed)
     report = {
         "estimator": "thermal_frame_potential", "k": args.k, "d": d,
         "beta": args.beta, "t": args.t, "seed": args.seed,
@@ -543,9 +551,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (NonFiniteReport, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_CHECK_FAILED if isinstance(exc, NonFiniteReport) else EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -170,11 +170,6 @@ def inverse(c: CliffordTableau) -> CliffordTableau:
     return CliffordTableau(n, xs, zs)
 
 
-def adjoint_compose_trace_sq(a: CliffordTableau, b: CliffordTableau) -> int:
-    """|tr(a^dag b)|^2, exact."""
-    return trace_sq(compose(inverse(a), b))
-
-
 def trace_sq(c: CliffordTableau) -> int:
     """|tr C|^2 as an exact integer: the number of representative Paulis
     fixed by conjugation with a + sign minus those fixed with a - sign."""

@@ -248,27 +248,30 @@ def generalized_F_haar_reference(rho_kind: str, k: int, d: int,
 
 
 def thermal_W(h_sampler, beta: float, t: float, k: int, mc_samples: int,
-              seed: int, d: int | None = None) -> Estimate:
+              seed: int) -> Estimate:
     """Thermal frame potential for an ensemble of Hamiltonians:
 
         avg over (G, H) of |tr{e^(-(beta/2k - it)G) e^(-(beta/2k + it)H)}|^(2k)
                            / (tr e^(-beta G) tr e^(-beta H))
 
-    h_sampler(rng) draws a Hermitian matrix; always Monte Carlo.
+    h_sampler(rng) draws a Hermitian matrix; always Monte Carlo. Each spectrum
+    is shifted to start at 0, which leaves the ratio as it is and keeps every
+    exponential finite at large beta.
     """
     if beta < 0:
         raise ValueError("beta must be nonnegative")
     rng = np.random.default_rng([seed, 0])
+    b = beta / (2 * k)
     vals = np.empty(mc_samples)
     for i in range(mc_samples):
         g = h_sampler(rng)
         h = h_sampler(rng)
         eg, vg = np.linalg.eigh(g)
         eh, vh = np.linalg.eigh(h)
-        mg = (vg * np.exp(-(beta / (2 * k) - 1j * t) * eg)) @ vg.conj().T
-        mh = (vh * np.exp(-(beta / (2 * k) + 1j * t) * eh)) @ vh.conj().T
+        mg = (vg * np.exp(-(b - 1j * t) * eg + b * eg.min())) @ vg.conj().T
+        mh = (vh * np.exp(-(b + 1j * t) * eh + b * eh.min())) @ vh.conj().T
         num = abs(np.trace(mg @ mh)) ** (2 * k)
-        den = np.exp(-beta * eg).sum() * np.exp(-beta * eh).sum()
+        den = np.exp(-beta * (eg - eg.min())).sum() * np.exp(-beta * (eh - eh.min())).sum()
         vals[i] = num / den
     return Estimate(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(mc_samples)),
                     mc_samples, seed=seed, method="monte-carlo")

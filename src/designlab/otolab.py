@@ -88,11 +88,6 @@ class OtoSpec:
         return a_full, b_full
 
 
-def oto_spec_8pt(a, b, c, d, ordering="commutator") -> OtoSpec:
-    """8-point spec from the four base Paulis (A, B, C, D)."""
-    return OtoSpec((a, c), (b, d), ordering)
-
-
 # ---------------------------------------------------------------------------
 # single-unitary correlators
 # ---------------------------------------------------------------------------

@@ -6,6 +6,10 @@ Haar averages they produce. Everything in this module is exact: characters
 and dimensions are integers, Weingarten values and matrix inverses are
 `fractions.Fraction`s. Floats appear only when callers convert.
 
+There is one Weingarten route: `q_inverse` tabulates the class function
+`weingarten` (Collins & Sniady, math-ph/0402073) over S_k x S_k. Rational
+Gauss-Jordan elimination of Q is kept in the tests, as their oracle.
+
 Permutations are tuples `pi` of length k with pi[j] = image of slot j, and
 composition follows (sigma tau)(j) = sigma(tau(j)). The permutation operator
 W_pi moves the tensor factor in slot j to slot pi(j), which makes
@@ -89,10 +93,6 @@ def cycles_of(pi: tuple[int, ...]) -> list[list[int]]:
 def cycle_type(pi: tuple[int, ...]) -> tuple[int, ...]:
     """Conjugacy-class label: cycle lengths sorted descending."""
     return tuple(sorted((len(c) for c in cycles_of(pi)), reverse=True))
-
-
-def identity_permutation(k: int) -> tuple[int, ...]:
-    return tuple(range(k))
 
 
 def trace_cycle(k: int) -> tuple[int, ...]:
@@ -236,29 +236,20 @@ def q_matrix(k: int, d: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def q_inverse(k: int, d: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse of q_matrix(k, d) by rational Gauss-Jordan elimination.
+    """Exact inverse of q_matrix(k, d), indexed by permutations_of(k) order.
 
-    Defined for k <= d (Q is singular otherwise). Independently, every entry
-    equals weingarten(cycle_type(pi sigma), d); tests check the two routes
-    against each other.
+    Q depends only on the product of its indices, and so does its inverse:
+    entry (pi, sigma) is the class function weingarten(cycle_type(pi sigma), d),
+    evaluated once per partition of k. Defined for k <= d (Q is singular
+    otherwise). The tests check the table against rational Gauss-Jordan
+    elimination of q_matrix.
     """
     if k > d:
         raise ValueError(f"Q is singular for k > d (k={k}, d={d})")
-    q = q_matrix(k, d)
-    m = len(q)
-    a = [[Fraction(q[i][j]) for j in range(m)] + [Fraction(int(i == j)) for j in range(m)] for i in range(m)]
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("Q is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(m):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[m:]) for row in a)
+    wgs = {mu: weingarten(mu, d) for mu in partitions(k)}
+    perms = permutations_of(k)
+    by_product = {pi: wgs[cycle_type(pi)] for pi in perms}
+    return tuple(tuple(by_product[compose(pi, sigma)] for sigma in perms) for pi in perms)
 
 
 def haar_frame_potential_exact(k: int, d: int) -> Fraction:

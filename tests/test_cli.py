@@ -1,10 +1,12 @@
 """CLI tests: reports, determinism, exit codes, the verify battery."""
 
 import json
+import math
 
 import pytest
 
 from designlab import cli
+from designlab.estimate import Estimate
 
 
 def run(capsys, *argv):
@@ -149,6 +151,32 @@ class TestThermalCommand:
         report = json.loads(out)
         assert report["value"] < 1.0
         assert report["cardinality_bound"] > 1.0
+
+    def test_huge_beta_reports_finite_json(self, capsys):
+        # beta = 1000 overflows exp() unless each spectrum is shifted to its minimum
+        code, out = run(capsys, "thermal", "--n", "1", "--beta", "1000",
+                        "--samples", "200", "--seed", "3")
+        assert code == 0
+        report = json.loads(out, parse_constant=lambda c: pytest.fail(f"{c} in report"))
+        assert abs(report["value"] - 1 / 3) <= 5 * report["std_error"]
+
+
+class TestNonFiniteReports:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+    def test_emit_refuses_before_writing(self, capsys, fmt, bad):
+        with pytest.raises(cli.NonFiniteReport):
+            cli.emit({"estimator": "x", "value": bad, "std_error": 0.1}, fmt, None)
+        assert capsys.readouterr().out == ""
+
+    def test_nan_estimate_exits_1_without_report(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.fp, "thermal_W",
+                            lambda *a, **kw: Estimate(math.nan, math.nan, 10))
+        code = cli.main(["thermal", "--n", "1", "--samples", "10", "--seed", "0"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_CHECK_FAILED == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
 
 class TestVerifyCommand:

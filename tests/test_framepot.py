@@ -277,6 +277,15 @@ class TestThermalW:
         # |E(0)| >= 1/W gives a bound strictly above the trivial 1
         assert 1.0 / est.value > 1.0
 
+    def test_ground_state_limit_at_huge_beta(self):
+        # As beta -> infinity each thermal operator projects on its ground
+        # state, so W -> E|<g|h>|^4 over independent Haar ground states,
+        # 2/(d(d+1)) = 1/3 at d=2. Unshifted exponentials overflow here.
+        sampler = lambda rng: dm.gue_hamiltonian(2, rng)
+        est = fp.thermal_W(sampler, 1000.0, 0.0, 1, 200, seed=3)
+        assert math.isfinite(est.value) and math.isfinite(est.std_error)
+        assert abs(est.value - 1 / 3) <= 5 * est.std_error
+
 
 class TestBounds:
     def test_cardinality(self):

@@ -162,6 +162,25 @@ class TestWeingarten:
             wg.weingarten((2, 1), 2)
 
 
+def gauss_jordan_inverse(q):
+    """Exact inverse of a square integer matrix by rational Gauss-Jordan
+    elimination: the independent oracle for wg.q_inverse."""
+    m = len(q)
+    a = [[F(q[i][j]) for j in range(m)] + [F(int(i == j)) for j in range(m)] for i in range(m)]
+    for col in range(m):
+        pivot = next((r for r in range(col, m) if a[r][col] != 0), None)
+        if pivot is None:
+            raise ValueError("Q is singular")
+        a[col], a[pivot] = a[pivot], a[col]
+        pv = a[col][col]
+        a[col] = [x / pv for x in a[col]]
+        for r in range(m):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return tuple(tuple(row[m:]) for row in a)
+
+
 class TestQMatrix:
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_k2(self, d):
@@ -180,6 +199,20 @@ class TestQMatrix:
             for j in range(m):
                 s = sum(q[i][l] * qi[l][j] for l in range(m))
                 assert s == (1 if i == j else 0)
+        assert qi == gauss_jordan_inverse(q)
+
+    @pytest.mark.parametrize("k,d", [(5, 5), (5, 8), (6, 6)])
+    def test_identity_row_of_q_times_inverse_large_k(self, k, d):
+        # Q and its inverse (tabulated that way) are class functions of the
+        # product of their indices, so (Q Q^-1)[sigma][tau] depends on
+        # tau sigma^-1 alone: the identity row (index 0) being delta proves
+        # the whole product equals I.
+        q0 = wg.q_matrix(k, d)[0]
+        qi = wg.q_inverse(k, d)
+        m = len(q0)
+        for j in range(m):
+            s = sum(q0[l] * qi[l][j] for l in range(m))
+            assert s == (1 if j == 0 else 0)
 
     @pytest.mark.parametrize("k,d", [(2, 3), (3, 4), (4, 4)])
     def test_inverse_entries_are_weingarten_values(self, k, d):
