@@ -136,11 +136,16 @@ def cmd_framepot(args) -> int:
         est = fp.frame_potential_exact(ens, args.k)
     else:
         est = fp.frame_potential_mc(ens, args.k, args.samples, seed=args.seed)
+    if args.k <= d:
+        formula = "k!"
+    elif d == 2:
+        formula = "(2k)!/(k!(k+1)!) at d=2"
+    else:
+        formula = "sum of (f^lam)^2 over lam |- k with at most d rows"
     try:
         ref = float(wg.haar_frame_potential_exact(args.k, d))
-        formula = "k!" if args.k <= d else "(2k)!/(k!(k+1)!) at d=2"
-    except ValueError:
-        ref, formula = None, "none (k > d, d != 2)"
+    except ValueError as exc:
+        ref, formula = None, f"none ({exc})"
     report = {
         "estimator": "frame_potential", "ensemble": args.ensemble,
         "k": args.k, "d": d, "n": args.n, "seed": args.seed,

@@ -44,6 +44,19 @@ def check_hermitian(h: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
     return h
 
 
+def check_state(rho: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
+    """A density matrix: square, Hermitian, unit trace and positive
+    semidefinite, each within tol (no eigenvalue below -tol)."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValueError("rho must be a square matrix")
+    if np.max(np.abs(rho - rho.conj().T)) > tol or abs(np.trace(rho) - 1) > tol:
+        raise ValueError("rho must be Hermitian with unit trace")
+    if np.linalg.eigvalsh(rho).min() < -tol:
+        raise ValueError("rho is not positive semidefinite")
+    return rho
+
+
 _SIGMA = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -339,15 +352,14 @@ def kfold_channel_apply(ens: Ensemble, a: np.ndarray, k: int,
 
 def haar_channel_reference(a: np.ndarray, k: int, d: int) -> np.ndarray:
     """Exact Haar k-fold channel via the Weingarten decomposition:
-    sum_{pi,sigma} (Q^-1)_{pi,sigma} W_pi tr{W_sigma A}. Needs k <= d."""
+    sum_{pi,sigma} Wg_{pi,sigma} W_pi tr{W_sigma A}, with Wg = wg.q_inverse
+    (the pseudo-inverse of Q when k > d)."""
     a = np.asarray(a, dtype=complex)
     side = d**k
     if a.shape != (side, side):
         raise ValueError(f"operator must be {side} x {side}")
     if side > DENSE_GUARD:
         raise ValueError("dense guard exceeded")
-    if k > d:
-        raise ValueError(f"Haar reference needs k <= d (Q singular): k={k}, d={d}")
     perms = wg.permutations_of(k)
     qinv = wg.q_inverse(k, d)
     ws = [wg.permutation_matrix(pi, d) for pi in perms]

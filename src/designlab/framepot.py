@@ -18,12 +18,13 @@ import numpy as np
 
 from . import paulialg, wg
 from .cliffordgrp import CliffordTableau, compose, inverse, trace_sq
-from .densemat import Ensemble, element_to_matrix
+from .densemat import Ensemble, check_state, element_to_matrix
 from .estimate import Estimate
-from .otolab import OtoSpec, oto_correlator, oto_correlator_exact
+from .otolab import OtoSpec, oto_ensemble_average
 from .paulialg import PauliString
 
 VIA_OTO_GUARD = 65536  # number of Pauli tuples enumerated
+TAU_CHUNK = 8192  # tau values per block of the time average: bounds memory at TAU_CHUNK x d
 
 
 # ---------------------------------------------------------------------------
@@ -93,18 +94,9 @@ def frame_potential_via_oto(ens: Ensemble, k: int) -> Estimate:
     d = ens.dim
     paulis = paulialg.enumerate_paulis(n)
     total = 0.0
-    exactable = all(isinstance(el, (PauliString, CliffordTableau)) for el in ens.elements)
-    mats = None if exactable else [element_to_matrix(el) for el in ens.elements]
     for a_ops in itertools.product(paulis, repeat=k):
         for b_ops in itertools.product(paulis, repeat=k):
-            spec = OtoSpec(tuple(a_ops), tuple(b_ops))
-            avg = 0j
-            for idx, w in enumerate(ens.weights):
-                if exactable:
-                    avg += w * oto_correlator_exact(ens.elements[idx], spec)
-                else:
-                    avg += w * oto_correlator(mats[idx], spec)
-            total += abs(avg) ** 2
+            total += abs(oto_ensemble_average(ens, OtoSpec(a_ops, b_ops)).value) ** 2
     value = total * d ** (2 * (k + 1)) / d ** (4 * k)
     return Estimate(value, 0.0, len(ens.elements) ** 2, method="exact")
 
@@ -129,12 +121,13 @@ def _trapezoid_double_average(spectrum, k, t_max, n_grid) -> float:
     energies = np.asarray(spectrum, dtype=float)
     h = t_max / (n_grid - 1)
     taus = h * np.arange(n_grid)
-    phases = np.exp(-1j * np.outer(taus, energies))
-    f = np.abs(phases.sum(axis=1)) ** (2 * k)
+    f = np.empty(n_grid)
+    for lo in range(0, n_grid, TAU_CHUNK):
+        phases = np.exp(-1j * np.outer(taus[lo:lo + TAU_CHUNK], energies))
+        f[lo:lo + TAU_CHUNK] = np.abs(phases.sum(axis=1)) ** (2 * k)
     c = np.empty(n_grid)
     c[0] = 0.25 + (n_grid - 2) + 0.25
-    for m in range(1, n_grid - 1):
-        c[m] = (n_grid - m - 2) + 1.0
+    c[1:-1] = (n_grid - 2 - np.arange(1, n_grid - 1)) + 1.0
     c[n_grid - 1] = 0.25
     total = c[0] * f[0] + 2.0 * np.dot(c[1:], f[1:])
     return float(total * h * h / t_max**2)
@@ -164,12 +157,7 @@ def time_averaged_frame_potential(spectrum, k: int, t_max: float,
 # ---------------------------------------------------------------------------
 
 def _state_root(rho: np.ndarray, k: int) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-10 or abs(np.trace(rho) - 1) > 1e-10:
-        raise ValueError("rho must be Hermitian with unit trace")
-    evals, vecs = np.linalg.eigh(rho)
-    if evals.min() < -1e-12:
-        raise ValueError("rho is not positive semidefinite")
+    evals, vecs = np.linalg.eigh(check_state(rho))
     return (vecs * np.clip(evals, 0.0, None) ** (1.0 / k)) @ vecs.conj().T
 
 
@@ -260,6 +248,8 @@ def thermal_W(h_sampler, beta: float, t: float, k: int, mc_samples: int,
     """
     if beta < 0:
         raise ValueError("beta must be nonnegative")
+    if mc_samples < 2:
+        raise ValueError("thermal_W needs mc_samples >= 2")
     rng = np.random.default_rng([seed, 0])
     b = beta / (2 * k)
     vals = np.empty(mc_samples)

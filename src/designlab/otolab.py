@@ -28,14 +28,12 @@ import numpy as np
 
 from . import paulialg, wg
 from .cliffordgrp import CliffordTableau, conjugate_pauli
-from .densemat import DENSE_GUARD, Ensemble, check_unitary, element_to_matrix, pauli_to_dense
+from .densemat import (DENSE_GUARD, Ensemble, check_state, check_unitary, element_to_matrix,
+                       pauli_to_dense)
 from .estimate import Estimate
 from .paulialg import PauliString
 
 ORDERINGS = ("standard", "commutator", "group_commutator", "non_commutator")
-
-M_TENSOR_GUARD = 2**20  # tuple count per side for full materialization
-M_TENSOR_SIDE_GUARD = 4096  # memory guard on a materialized side
 
 
 @dataclass(frozen=True)
@@ -156,15 +154,11 @@ def regulated_oto(rho: np.ndarray, u: np.ndarray, spec: OtoSpec) -> complex:
     """tr{rho^(1/2k) A_1 rho^(1/2k) B~_1 ...}: one fractional power of the
     state between every insertion. rho = I/d reduces this to the plain
     correlator exactly."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = check_state(rho)
     d = 2**spec.n
     if rho.shape != (d, d):
         raise ValueError("state dimension mismatch")
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-10 or abs(np.trace(rho) - 1) > 1e-10:
-        raise ValueError("rho must be Hermitian with unit trace")
     evals, vecs = np.linalg.eigh(rho)
-    if evals.min() < -1e-12:
-        raise ValueError("rho is not positive semidefinite")
     a_ops, b_ops = spec.expanded()
     k = len(a_ops)
     root = (vecs * np.clip(evals, 0.0, None) ** (1 / (2 * k))) @ vecs.conj().T
@@ -182,18 +176,8 @@ def regulated_oto(rho: np.ndarray, u: np.ndarray, spec: OtoSpec) -> complex:
 def trace_tensor_with_permutation(ops, rho) -> tuple[int, int]:
     """Exact tr{(X_1 (x) ... (x) X_k) W_rho} for Pauli factors: the product
     of Pauli traces along the cycles of rho, as a Gaussian integer."""
-    pinv = wg.inverse(rho)
     re_tot, im_tot = 1, 0
-    seen = [False] * len(rho)
-    for start in range(len(rho)):
-        if seen[start]:
-            continue
-        chain = []
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            chain.append(j)
-            j = pinv[j]
+    for chain in wg.cycles_of(wg.inverse(rho)):
         re, im = paulialg.trace_product_int([ops[idx] for idx in chain])
         re_tot, im_tot = re_tot * re - im_tot * im, re_tot * im + im_tot * re
         if re_tot == 0 and im_tot == 0:
@@ -203,19 +187,17 @@ def trace_tensor_with_permutation(ops, rho) -> tuple[int, int]:
 
 def haar_average_oto_exact(a_ops, b_ops) -> tuple[Fraction, Fraction]:
     """Exact Haar average of (1/d) tr{A_1 B~_1 ... A_k B~_k} as an exact
-    complex rational (re, im), for k <= d.
+    complex rational (re, im), for every k and d.
 
     Expands the k-fold twirl in permutation operators with exact Weingarten
-    coefficients; the operator traces against permutations reduce to cycle
-    products of exact Pauli traces.
+    coefficients (for k > d, the pseudo-inverse of Q); the operator traces
+    against permutations reduce to cycle products of exact Pauli traces.
     """
     a_ops = tuple(a_ops)
     b_ops = tuple(b_ops)
     k = len(a_ops)
     n = a_ops[0].n
     d = 2**n
-    if k > d:
-        raise ValueError(f"Weingarten route needs k <= d (k={k}, d={d})")
     perms = wg.permutations_of(k)
     qinv = wg.q_inverse(k, d)
     cyc = wg.trace_cycle(k)
@@ -299,10 +281,8 @@ def m_tensor(n: int, k: int) -> np.ndarray:
     """The full trace tensor as a matrix M[c_index, a_index] over k-tuples
     of Pauli representatives in enumeration order."""
     side = 4 ** (n * k)
-    if side > M_TENSOR_GUARD:
-        raise ValueError("tuple-count guard exceeded; compute single entries instead")
-    if side > M_TENSOR_SIDE_GUARD:
-        raise ValueError("materialization would exceed the memory guard")
+    if side > DENSE_GUARD:
+        raise ValueError("dense guard exceeded; compute single entries instead")
     a_tuples = list(_tuple_iter(n, k))
     m = np.empty((side, side), dtype=complex)
     for ci, c_ops in enumerate(_tuple_iter(n, k)):

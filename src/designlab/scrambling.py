@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import paulialg
-from .densemat import check_unitary, partial_trace, pauli_to_dense
+from .densemat import check_state, check_unitary, partial_trace, pauli_to_dense
 from .paulialg import PauliString
 
 
@@ -92,13 +92,7 @@ def choi_state(u: np.ndarray) -> ChoiState:
 def renyi_entropy(rho: np.ndarray, k: int) -> float:
     """Renyi-k entropy in bits: log2 tr(rho^k) / (1-k); k=1 is the von
     Neumann entropy via the eigenvalue Shannon sum."""
-    rho = np.asarray(rho, dtype=complex)
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-10 or abs(np.trace(rho) - 1) > 1e-10:
-        raise ValueError("rho must be Hermitian with unit trace")
-    evals = np.linalg.eigvalsh(rho)
-    if evals.min() < -1e-10:
-        raise ValueError("rho is not positive semidefinite")
-    evals = np.clip(evals, 0.0, None)
+    evals = np.clip(np.linalg.eigvalsh(check_state(rho)), 0.0, None)
     if k == 1:
         nz = evals[evals > 1e-15]
         return float(-(nz * np.log2(nz)).sum())
@@ -165,6 +159,8 @@ def renyi_k_oto(u: np.ndarray, part: IoPartition, k: int) -> tuple[float, float]
     rhs: (d/(d_A d_D))^(k-1) 2^(-(k-1) S_k(rho_AC)) = that prefactor times
     tr(rho_AC^k). k=2 reduces to oto_renyi2_check.
     """
+    if k < 2:
+        raise ValueError(f"the Renyi-k identity needs k >= 2, got k={k}")
     u = check_unitary(u)
     d = 2**part.n
     a_paulis = _region_paulis(part.n, part.a_qubits)
@@ -173,14 +169,12 @@ def renyi_k_oto(u: np.ndarray, part: IoPartition, k: int) -> tuple[float, float]
     d_mats = {p: u.conj().T @ pauli_to_dense(p) @ u for p in d_paulis}
 
     def inverse_product(ops):
-        prod = paulialg.mul_all(list(ops)) if ops else None
-        inv = prod.adjoint() if prod is not None else None
-        return inv
+        return paulialg.mul_all(list(ops)).adjoint()
 
     total = 0j
     count = 0
     for a_free in itertools.product(a_paulis, repeat=k - 1):
-        a_last = inverse_product(a_free) if a_free else None
+        a_last = inverse_product(a_free)
         for d_free in itertools.product(d_paulis, repeat=k - 1):
             d_last = inverse_product(d_free)
             acc = np.eye(d, dtype=complex)

@@ -1,13 +1,15 @@
 """Exact Weingarten calculus over the symmetric group.
 
 Partitions, Murnaghan-Nakayama characters, hook-length dimensions, the Gram
-matrix Q of permutation operators and its exact inverse, and the closed-form
-Haar averages they produce. Everything in this module is exact: characters
-and dimensions are integers, Weingarten values and matrix inverses are
+matrix Q of permutation operators and its exact (pseudo-)inverse, and the
+closed-form Haar averages they produce. Everything in this module is exact:
+characters and dimensions are integers, Weingarten values and Q tables are
 `fractions.Fraction`s. Floats appear only when callers convert.
 
-There is one Weingarten route: `q_inverse` tabulates the class function
-`weingarten` (Collins & Sniady, math-ph/0402073) over S_k x S_k. Rational
+There is one Weingarten route for every k and d: `q_inverse` tabulates the
+class function `weingarten`, a sum over the partitions of k with at most d
+rows (Collins & Sniady, math-ph/0402073), over S_k x S_k. That is the inverse
+of Q for k <= d and its pseudo-inverse for k > d, where Q is singular. Rational
 Gauss-Jordan elimination of Q is kept in the tests, as their oracle.
 
 Permutations are tuples `pi` of length k with pi[j] = image of slot j, and
@@ -41,18 +43,19 @@ def partitions(k: int) -> list[tuple[int, ...]]:
     partitions(3) = [(3,), (2, 1), (1, 1, 1)]."""
     if not 1 <= k <= MAX_PARTITION_K:
         raise ValueError(f"partition guard exceeded: k={k} not in 1..{MAX_PARTITION_K}")
-    return _partitions_rec(k, k)
+    return list(_partitions_in_rows(k, k, k))
 
 
-@lru_cache(maxsize=None)
-def _partitions_rec(k: int, largest: int) -> list[tuple[int, ...]]:
+def _partitions_in_rows(k: int, rows: int, largest: int):
+    """Partitions of k into at most `rows` parts, none above `largest`, in
+    reverse-lexicographic order; the recursion is `rows` deep, not k."""
     if k == 0:
-        return [()]
-    out = []
-    for first in range(min(k, largest), 0, -1):
-        for rest in _partitions_rec(k - first, first):
-            out.append((first,) + rest)
-    return out
+        yield ()
+        return
+    smallest = -(-k // rows)  # ceil(k / rows): the rest must fit in rows - 1 parts
+    for first in range(min(k, largest), smallest - 1, -1):
+        for rest in _partitions_in_rows(k - first, rows - 1, first):
+            yield (first,) + rest
 
 
 def permutations_of(k: int) -> list[tuple[int, ...]]:
@@ -190,8 +193,8 @@ def irrep_dimension(lam: tuple[int, ...]) -> int:
 def content_polynomial(lam: tuple[int, ...], d: int) -> Fraction:
     """s_lam(d) = prod over cells (i,j) of (d + j - i), 1-indexed rows/cols.
 
-    Zero when the partition has more rows than d; callers must treat that as
-    "undefined" rather than divide by it.
+    Zero exactly when the partition has more rows than d; `weingarten`
+    skips those partitions instead of dividing by it.
     """
     val = Fraction(1)
     for i, row in enumerate(lam, start=1):
@@ -206,62 +209,64 @@ def content_polynomial(lam: tuple[int, ...], d: int) -> Fraction:
 
 def weingarten(mu: tuple[int, ...], d: int) -> Fraction:
     """Exact unitary Weingarten value for cycle type mu at dimension d:
-    Wg(mu) = (1/k!) * sum_lam (f^lam / s_lam(d)) chi^lam(mu), for k <= d."""
+    Wg(mu) = (1/k!) * sum_lam (f^lam / s_lam(d)) chi^lam(mu), summed over
+    the partitions lam of k with at most d rows. For k <= d that is every
+    partition; for k > d its table is the pseudo-inverse of Q (q_inverse)."""
+    if d < 1:
+        raise ValueError(f"dimension must be positive, got d={d}")
     mu = tuple(sorted(mu, reverse=True))
     k = sum(mu)
-    if k > d:
-        raise ValueError(
-            "Weingarten undefined: inverse not guaranteed for k > d "
-            f"(k={k}, d={d})"
-        )
     total = Fraction(0)
     for lam in partitions(k):
-        s = content_polynomial(lam, d)
-        if s == 0:
-            raise ValueError(f"content polynomial vanished for {lam} at d={d}")
-        total += Fraction(irrep_dimension(lam), 1) / s * character(lam, mu)
+        if len(lam) <= d:
+            total += Fraction(irrep_dimension(lam), 1) / content_polynomial(lam, d) \
+                * character(lam, mu)
     return total / math.factorial(k)
+
+
+def _class_table(k: int, value: dict) -> tuple[tuple, ...]:
+    """The S_k x S_k table of a class function: entry (pi, sigma) is
+    value[cycle_type(pi sigma)], indexed by permutations_of(k) order."""
+    perms = permutations_of(k)
+    by_product = {pi: value[cycle_type(pi)] for pi in perms}
+    return tuple(tuple(by_product[compose(pi, sigma)] for sigma in perms) for pi in perms)
 
 
 @lru_cache(maxsize=None)
 def q_matrix(k: int, d: int) -> tuple[tuple[int, ...], ...]:
     """Q_{sigma,lambda} = d^(#cycles(sigma lambda)) over S_k x S_k, exact
     integers, indexed by permutations_of(k) order."""
-    perms = permutations_of(k)
-    rows = []
-    for sigma in perms:
-        rows.append(tuple(d ** len(cycles_of(compose(sigma, lam))) for lam in perms))
-    return tuple(rows)
+    return _class_table(k, {mu: d ** len(mu) for mu in partitions(k)})
 
 
 @lru_cache(maxsize=None)
 def q_inverse(k: int, d: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse of q_matrix(k, d), indexed by permutations_of(k) order.
+    """Exact Weingarten table of q_matrix(k, d), indexed like it.
 
-    Q depends only on the product of its indices, and so does its inverse:
+    Q depends only on the product of its indices, and so does this table:
     entry (pi, sigma) is the class function weingarten(cycle_type(pi sigma), d),
-    evaluated once per partition of k. Defined for k <= d (Q is singular
-    otherwise). The tests check the table against rational Gauss-Jordan
-    elimination of q_matrix.
+    evaluated once per partition of k. For k <= d it is the inverse of Q; for
+    k > d, where Q is singular, it is the Moore-Penrose pseudo-inverse. The
+    tests check it against rational Gauss-Jordan elimination of q_matrix, and
+    the pseudo-inverse identities exactly.
     """
-    if k > d:
-        raise ValueError(f"Q is singular for k > d (k={k}, d={d})")
-    wgs = {mu: weingarten(mu, d) for mu in partitions(k)}
-    perms = permutations_of(k)
-    by_product = {pi: wgs[cycle_type(pi)] for pi in perms}
-    return tuple(tuple(by_product[compose(pi, sigma)] for sigma in perms) for pi in perms)
+    return _class_table(k, {mu: weingarten(mu, d) for mu in partitions(k)})
 
 
 def haar_frame_potential_exact(k: int, d: int) -> Fraction:
-    """Haar frame potential: k! for k <= d; the d=2 closed form
-    (2k)!/(k!(k+1)!) for any k; error otherwise (use Monte Carlo)."""
-    if k < 1:
-        raise ValueError("k must be positive")
+    """Haar frame potential: the sum of (f^lam)^2 over the partitions lam of k
+    with at most d rows, which counts the permutations of k with no
+    increasing subsequence longer than d (Rains 1998): k! for k <= d, the
+    Catalan number (2k)!/(k!(k+1)!) at d = 2. The partition guard applies
+    for k > d > 2; at d <= 2 there are at most k/2 + 1 partitions to sum.
+    """
+    if k < 1 or d < 1:
+        raise ValueError(f"k and the dimension must be positive, got k={k}, d={d}")
     if k <= d:
         return Fraction(math.factorial(k))
-    if d == 2:
-        return Fraction(math.factorial(2 * k), math.factorial(k) * math.factorial(k + 1))
-    raise ValueError(f"no closed form for k={k} > d={d} with d != 2; use Monte Carlo")
+    if d > 2 and k > MAX_PARTITION_K:
+        raise ValueError(f"partition guard exceeded: k={k} > {MAX_PARTITION_K} at d={d} > 2")
+    return Fraction(sum(irrep_dimension(lam) ** 2 for lam in _partitions_in_rows(k, d, k)))
 
 
 def haar_state_kfold(k: int, d: int) -> np.ndarray:

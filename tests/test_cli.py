@@ -15,6 +15,16 @@ def run(capsys, *argv):
     return code, out
 
 
+def assert_config_error(capsys, *argv):
+    """The command exits 2 with one `error:` line and writes no report."""
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_CONFIG == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
 class TestWgCommand:
     def test_rational_output(self, capsys):
         code, out = run(capsys, "wg", "--cycle-type", "2", "--d", "2")
@@ -25,6 +35,14 @@ class TestWgCommand:
     def test_s4_value(self, capsys):
         code, out = run(capsys, "wg", "--cycle-type", "2,1,1", "--d", "4")
         assert json.loads(out)["rational"] == "-1/420"
+
+    def test_beyond_dimension(self, capsys):
+        code, out = run(capsys, "wg", "--cycle-type", "2,1", "--d", "2")
+        assert code == 0
+        assert json.loads(out)["rational"] == "1/144"
+
+    def test_zero_dimension_is_a_config_error(self, capsys):
+        assert_config_error(capsys, "wg", "--cycle-type", "1", "--d", "0")
 
 
 class TestFramepotCommand:
@@ -52,6 +70,19 @@ class TestFramepotCommand:
                         "--k", "1", "--exact", "--check")
         assert code == 1
         assert json.loads(out)["passed"] is False
+
+    @pytest.mark.parametrize("n,k,reference,formula", [
+        (1, 4, 14.0, "(2k)!/(k!(k+1)!) at d=2"),
+        (2, 5, 119.0, "sum of (f^lam)^2 over lam |- k with at most d rows"),
+        (2, 13, None, "none (partition guard exceeded: k=13 > 12 at d=4 > 2)"),
+    ])
+    def test_haar_reference_beyond_dimension(self, capsys, n, k, reference, formula):
+        code, out = run(capsys, "framepot", "--ensemble", "trivial", "--n", str(n),
+                        "--k", str(k), "--exact")
+        assert code == 0
+        report = json.loads(out)
+        assert report["reference"] == reference
+        assert report["reference_formula"] == formula
 
     def test_reports_are_byte_identical(self, capsys):
         argv = ("framepot", "--ensemble", "haar", "--n", "1", "--k", "1",
@@ -116,6 +147,11 @@ class TestScrambleCommand:
         assert report["lhs"] == pytest.approx(1.0, abs=1e-10)
         assert report["mutual_info_2"] == pytest.approx(0.0, abs=1e-10)
 
+    @pytest.mark.parametrize("k", ["1", "0"])
+    def test_k_below_two_is_a_config_error(self, capsys, k):
+        err = assert_config_error(capsys, "scramble", "--n", "2", "--k", k)
+        assert "k >= 2" in err
+
     def test_haar_unitary_identity_holds(self, capsys):
         code, out = run(capsys, "scramble", "--unitary", "haar", "--n", "2",
                         "--partition", "A=0;D=1", "--k", "2", "--seed", "5",
@@ -151,6 +187,10 @@ class TestThermalCommand:
         report = json.loads(out)
         assert report["value"] < 1.0
         assert report["cardinality_bound"] > 1.0
+
+    def test_one_sample_is_a_config_error(self, capsys):
+        err = assert_config_error(capsys, "thermal", "--n", "1", "--samples", "1")
+        assert "mc_samples >= 2" in err
 
     def test_huge_beta_reports_finite_json(self, capsys):
         # beta = 1000 overflows exp() unless each spectrum is shifted to its minimum

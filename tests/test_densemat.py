@@ -7,8 +7,13 @@ import pytest
 
 from designlab import cliffordgrp as cg
 from designlab import densemat as dm
-from designlab import paulialg, wg
+from designlab import framepot as fp
+from designlab import otolab, paulialg, wg
+from designlab import scrambling as sc
+from designlab.otolab import OtoSpec
 from designlab.paulialg import from_label
+
+Z = from_label("Z")
 
 
 def two_sample_ks(a, b):
@@ -109,6 +114,28 @@ class TestEvolve:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             dm.evolve(np.array([[0, 1], [0, 0]], dtype=complex), 1.0)
+
+
+STATE_CALLERS = {
+    "regulated_oto": lambda rho: otolab.regulated_oto(rho, np.eye(2), OtoSpec((Z,), (Z,))),
+    "generalized_F": lambda rho: fp.generalized_F(dm.trivial_ensemble(1), rho, 1),
+    "renyi_entropy": lambda rho: sc.renyi_entropy(rho, 2),
+}
+
+
+class TestCheckState:
+    @pytest.mark.parametrize("caller", sorted(STATE_CALLERS))
+    def test_one_validation_for_every_caller(self, caller):
+        call = STATE_CALLERS[caller]
+        # an eigenvalue of -5e-11 is rounding noise, inside the one tolerance
+        call(np.diag([1 + 5e-11, -5e-11]).astype(complex))
+        for bad, match in [(np.diag([1.5, -0.5]), "positive semidefinite"),
+                           (np.diag([1 + 1e-9, -1e-9]), "positive semidefinite"),
+                           (np.array([[0.5, 0.1], [0.0, 0.5]]), "Hermitian"),
+                           (np.eye(2), "unit trace"),
+                           (np.ones((2, 3)) / 2, "square")]:
+            with pytest.raises(ValueError, match=match):
+                call(bad.astype(complex))
 
 
 class TestTensorAndPartialTrace:
@@ -233,8 +260,18 @@ class TestHaarChannelReference:
             np.testing.assert_allclose(dm.haar_channel_reference(w, k, d), w, atol=1e-10)
 
     def test_k_exceeds_d(self):
-        with pytest.raises(ValueError):
-            dm.haar_channel_reference(np.eye(8), 3, 2)
+        # k=3 > d=2: Q is singular and the reference uses its pseudo-inverse
+        rng = np.random.default_rng(17)
+        a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        ref = dm.haar_channel_reference(a, 3, 2)
+        res = dm.kfold_channel_apply(dm.haar_ensemble(2, seed=18), a, 3, mc_samples=20_000)
+        assert np.all(np.abs(res.matrix - ref) <= 5 * res.std_error + 1e-12)
+        # n=1 Cliffords are a 3-design: their exact 24-element twirl is Haar's
+        cliff = dm.kfold_channel_apply(cg.clifford_ensemble(1), a, 3)
+        np.testing.assert_allclose(ref, cliff.matrix, atol=1e-12)
+        for pi in wg.permutations_of(3):
+            w = dm.permutation_operator(pi, 2)
+            np.testing.assert_allclose(dm.haar_channel_reference(w, 3, 2), w, atol=1e-12)
 
 
 class TestRandomSignStates:

@@ -179,6 +179,21 @@ class TestTimeAverages:
         fast = fp._trapezoid_double_average(spectrum, k, t_max, n)
         assert fast == pytest.approx(direct, rel=1e-12)
 
+    @pytest.mark.parametrize("chunk,n_grid", [(100, 1000),
+                                              (fp.TAU_CHUNK, 2 * fp.TAU_CHUNK + 5)])
+    def test_tau_chunks_match_one_block(self, monkeypatch, chunk, n_grid):
+        # the chunked phase sums equal the one-block computation bit for bit
+        spectrum = np.array([0.0, 0.7, 1.9, math.pi, 5.5])
+        k, t_max = 2, 40.0
+        h = t_max / (n_grid - 1)
+        taus = h * np.arange(n_grid)
+        f = np.abs(np.exp(-1j * np.outer(taus, spectrum)).sum(axis=1)) ** (2 * k)
+        c = np.array([0.5 + n_grid - 2] + [n_grid - m - 1.0 for m in range(1, n_grid - 1)]
+                     + [0.25])
+        one_block = float((c[0] * f[0] + 2.0 * np.dot(c[1:], f[1:])) * h * h / t_max**2)
+        monkeypatch.setattr(fp, "TAU_CHUNK", chunk)
+        assert fp._trapezoid_double_average(spectrum, k, t_max, n_grid) == one_block
+
 
 class TestGeneralizedPotentials:
     def test_maximally_mixed_reduces_to_plain(self):
@@ -285,6 +300,13 @@ class TestThermalW:
         est = fp.thermal_W(sampler, 1000.0, 0.0, 1, 200, seed=3)
         assert math.isfinite(est.value) and math.isfinite(est.std_error)
         assert abs(est.value - 1 / 3) <= 5 * est.std_error
+
+    @pytest.mark.parametrize("samples", [1, 0])
+    def test_needs_two_samples(self, samples):
+        # one sample has no standard error: std(ddof=1) would be NaN
+        sampler = lambda rng: dm.gue_hamiltonian(2, rng)
+        with pytest.raises(ValueError, match="mc_samples >= 2"):
+            fp.thermal_W(sampler, 0.0, 0.0, 1, samples, seed=3)
 
 
 class TestBounds:

@@ -144,9 +144,27 @@ class TestHaarOracle:
         se = np.sqrt(vals.real.var() / n + vals.imag.var() / n)
         assert abs(vals.mean() - complex(F(re), F(im))) <= 5 * se + 1e-12
 
-    def test_refuses_k_above_d(self):
-        with pytest.raises(ValueError):
-            haar_average_oto_exact([X, X, X], [Z, Z, Z])
+    def test_k_above_d_matches_monte_carlo(self):
+        # four pairs at d=2: the commutator-ordered X/Z word, (1/2) tr (X Z~)^4
+        a_ops, b_ops = OtoSpec((X, X), (Z, Z), "commutator").expanded()
+        assert haar_average_oto_exact(a_ops, b_ops) == (F(-1, 15), 0)
+        rng = np.random.default_rng(8)
+        n = 20_000
+        spec = OtoSpec(a_ops, b_ops)
+        vals = np.array([oto_correlator(dm.haar_unitary(2, rng), spec) for _ in range(n)])
+        se = np.sqrt(vals.real.var() / n + vals.imag.var() / n)
+        assert abs(vals.mean() - (-1 / 15)) <= 5 * se
+
+    def test_k_above_d_matches_clifford_three_design(self):
+        # n=1 Cliffords are a 3-design, so their exact 24-element average is
+        # the Haar value of every 6-point word at d=2
+        els = cg.enumerate_single_qubit()
+        for a_ops, b_ops in [((X, X, X), (Z, Z, Z)), ((X, Z, Y), (X, Z, Y)),
+                             ((X, Y, Z), (Z, X, Y)), ((Y, Y, paulialg.identity(1)), (Z, Z, X))]:
+            spec = OtoSpec(a_ops, b_ops)
+            cliff = sum(oto_correlator_exact(c, spec) for c in els) / 24
+            re, im = haar_average_oto_exact(a_ops, b_ops)
+            assert complex(re, im) == pytest.approx(cliff, abs=1e-12)
 
     def test_clifford_three_design_cross_check(self):
         # n=1 Cliffords reproduce Haar for k <= 3: exact 24-element sums

@@ -5,8 +5,10 @@ and S_4 tables; brute-force oracles (permutation sums, dense matrices,
 Monte Carlo moments) provide the independent routes.
 """
 
+import bisect
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -157,9 +159,36 @@ class TestWeingarten:
         for d in range(1, 9):
             assert wg.weingarten((1,), d) == F(1, d)
 
-    def test_undefined_beyond_dimension(self):
-        with pytest.raises(ValueError, match="undefined"):
-            wg.weingarten((2, 1), 2)
+    def test_beyond_dimension_sums_partitions_with_at_most_d_rows(self):
+        # d=1: U is a phase, so sum_{sigma,tau} Wg(sigma tau^-1) = k!^2 Wg = 1
+        for k in range(1, 6):
+            for mu in wg.partitions(k):
+                assert wg.weingarten(mu, 1) == F(1, math.factorial(k) ** 2)
+        # k=3 at d=2: only (3) and (2,1) enter; chi^(2,1) vanishes on (2,1)
+        assert wg.weingarten((3,), 2) == F(-7, 144)
+        assert wg.weingarten((2, 1), 2) == F(1, 144)
+        assert wg.weingarten((1, 1, 1), 2) == F(17, 144)
+        # E|U_00|^6 = sum_{sigma,tau} Wg(sigma tau^-1) = 6 sum_sigma Wg(sigma);
+        # |U_00|^2 is uniform on [0, 1] at d=2, so the moment is 1/4
+        assert 6 * sum(wg.class_size(mu) * wg.weingarten(mu, 2)
+                       for mu in wg.partitions(3)) == F(1, 4)
+
+    def test_dimension_must_be_positive(self):
+        with pytest.raises(ValueError, match="dimension"):
+            wg.weingarten((1,), 0)
+
+
+def cycle_count_q_matrix(k, d):
+    """Q_{sigma,lambda} = d^(#cycles(sigma lambda)) built entry by entry:
+    the independent oracle for wg.q_matrix."""
+    perms = wg.permutations_of(k)
+    return tuple(tuple(d ** len(wg.cycles_of(wg.compose(sigma, lam))) for lam in perms)
+                 for sigma in perms)
+
+
+def matmul(a, b):
+    return [[sum(a[i][l] * b[l][j] for l in range(len(b))) for j in range(len(b[0]))]
+            for i in range(len(a))]
 
 
 def gauss_jordan_inverse(q):
@@ -185,6 +214,11 @@ class TestQMatrix:
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_k2(self, d):
         assert wg.q_matrix(2, d) == ((d * d, d), (d, d * d))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_matches_cycle_count_oracle(self, k):
+        for d in (1, 2, 3, 7):
+            assert wg.q_matrix(k, d) == cycle_count_q_matrix(k, d)
 
     def test_q_inverse_k2_d2(self):
         inv = wg.q_inverse(2, 2)
@@ -222,9 +256,18 @@ class TestQMatrix:
             for j, sigma in enumerate(perms):
                 assert qi[i][j] == wg.weingarten(wg.cycle_type(wg.compose(pi, sigma)), d)
 
-    def test_singular_guard(self):
-        with pytest.raises(ValueError):
-            wg.q_inverse(3, 2)
+    @pytest.mark.parametrize("k,d", [(3, 2), (4, 2), (4, 3)])
+    def test_pseudo_inverse_beyond_dimension(self, k, d):
+        # Q is singular for k > d; the table is its Moore-Penrose inverse:
+        # Q Wg Q = Q, Wg Q Wg = Wg, and both products are symmetric
+        q = [list(row) for row in wg.q_matrix(k, d)]
+        w = [list(row) for row in wg.q_inverse(k, d)]
+        qw, wq = matmul(q, w), matmul(w, q)
+        assert matmul(qw, q) == q
+        assert matmul(wq, w) == w
+        for prod in (qw, wq):
+            assert prod == [list(col) for col in zip(*prod)]
+        assert qw != [[int(i == j) for j in range(len(q))] for i in range(len(q))]
 
 
 class TestPermutationCombinatorics:
@@ -266,9 +309,42 @@ class TestHaarFramePotential:
         assert wg.haar_frame_potential_exact(1, 2) == 1
         assert wg.haar_frame_potential_exact(2, 2) == 2
 
-    def test_out_of_scope(self):
-        with pytest.raises(ValueError):
-            wg.haar_frame_potential_exact(4, 3)
+    def test_rains_count_beyond_dimension(self):
+        assert wg.haar_frame_potential_exact(4, 3) == 23
+        assert wg.haar_frame_potential_exact(5, 4) == 119
+        # permutations of k whose longest increasing subsequence is <= d
+        for k in range(1, 8):
+            perms = list(itertools.permutations(range(k)))
+            for d in range(1, 5):
+                count = sum(1 for p in perms if longest_increasing_subsequence(p) <= d)
+                assert wg.haar_frame_potential_exact(k, d) == count, (k, d)
+
+    def test_catalan_at_large_k(self):
+        start = time.perf_counter()
+        for k in (13, 20, 200):
+            catalan = F(math.factorial(2 * k), math.factorial(k) * math.factorial(k + 1))
+            assert wg.haar_frame_potential_exact(k, 2) == catalan
+        assert time.perf_counter() - start < 1.0
+
+    def test_partition_guard_beyond_dimension(self):
+        assert wg.haar_frame_potential_exact(12, 3) > 0
+        with pytest.raises(ValueError, match="partition guard"):
+            wg.haar_frame_potential_exact(13, 3)
+        with pytest.raises(ValueError, match="dimension"):
+            wg.haar_frame_potential_exact(1, 0)
+
+
+def longest_increasing_subsequence(p):
+    """Its length, by patience sorting: tops[j] is the smallest last value of
+    an increasing subsequence of length j + 1 seen so far."""
+    tops = []
+    for x in p:
+        i = bisect.bisect_left(tops, x)
+        if i == len(tops):
+            tops.append(x)
+        else:
+            tops[i] = x
+    return len(tops)
 
 
 class TestHaarStateKfold:
