@@ -555,10 +555,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0,) else 0
     try:
-        return args.func(args)
+        # numpy overflow raises here rather than warn and carry an infinity on
+        with np.errstate(over="raise"):
+            return args.func(args)
     except (NonFiniteReport, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED if isinstance(exc, NonFiniteReport) else EXIT_CONFIG
+    except (OverflowError, FloatingPointError) as exc:
+        # a result beyond the float range failed like a NaN report does
+        print(f"error: result out of float range: {exc.args[-1]}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

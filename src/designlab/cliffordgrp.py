@@ -43,8 +43,8 @@ class CliffordTableau:
                 raise ValueError("generator images must be Hermitian (+/- sign)")
 
     def symplectic_matrix(self) -> np.ndarray:
-        """2n x 2n GF(2) matrix; row r = (x_bits | z_bits) of image r."""
-        rows = [img.x_bits + img.z_bits for img in self.x_images + self.z_images]
+        """2n x 2n GF(2) matrix; row r = the symplectic row (x | z) of image r."""
+        rows = [paulialg.to_symplectic(img) for img in self.x_images + self.z_images]
         return np.array(rows, dtype=np.uint8)
 
     def phase_bits(self) -> tuple[int, ...]:
@@ -77,34 +77,17 @@ def check_tableau(c: CliffordTableau):
 
 
 def conjugate_pauli(c: CliffordTableau, p: PauliString) -> PauliString:
-    """C^dag p C, exact phase included.
-
-    Decomposes p = i^(e + x.z) * prod_j X_j^{x_j} * prod_j Z_j^{z_j} and
-    multiplies the generator images in that order.
-    """
+    """C^dag p C, exact phase included: p under the automorphism that sends
+    each generator to its image in the tableau."""
     if c.n != p.n:
         raise ValueError("qubit count mismatch")
-    out = paulialg.identity(c.n)
-    for j, xb in enumerate(p.x_bits):
-        if xb:
-            out = mul(out, c.x_images[j])
-    for j, zb in enumerate(p.z_bits):
-        if zb:
-            out = mul(out, c.z_images[j])
-    # scalar i^(e + x.z) multiplying the generator product; scalars add
-    # directly onto the Hermitian-convention phase
-    scalar = (p.phase + sum(a & b for a, b in zip(p.x_bits, p.z_bits))) % 4
-    return PauliString(c.n, out.x_bits, out.z_bits, (out.phase + scalar) % 4)
+    return paulialg.apply_images(p, c.x_images + c.z_images)
 
 
 def identity_tableau(n: int) -> CliffordTableau:
     xs = tuple(paulialg.single_site(n, j, "X") for j in range(n))
     zs = tuple(paulialg.single_site(n, j, "Z") for j in range(n))
     return CliffordTableau(n, xs, zs)
-
-
-def _with_sign(p: PauliString, sign: int) -> PauliString:
-    return PauliString(p.n, p.x_bits, p.z_bits, (p.phase + (0 if sign > 0 else 2)) % 4)
 
 
 def hadamard_tableau(n: int, site: int) -> CliffordTableau:
@@ -120,7 +103,7 @@ def phase_gate_tableau(n: int, site: int) -> CliffordTableau:
     # S = diag(1, i): S^dag X S = -Y, S^dag Z S = Z
     base = identity_tableau(n)
     xs = list(base.x_images)
-    xs[site] = _with_sign(paulialg.single_site(n, site, "Y"), -1)
+    xs[site] = paulialg.signed(paulialg.single_site(n, site, "Y"), -1)
     return CliffordTableau(n, tuple(xs), base.z_images)
 
 
@@ -134,10 +117,10 @@ def cz_tableau(n: int, a: int, b: int) -> CliffordTableau:
 
 def pauli_tableau(p: PauliString) -> CliffordTableau:
     """A Pauli operator as a Clifford: images are generators up to sign."""
-    n = p.n
-    xs = [_with_sign(paulialg.single_site(n, j, "X"), paulialg.k_phase(paulialg.single_site(n, j, "X"), p)) for j in range(n)]
-    zs = [_with_sign(paulialg.single_site(n, j, "Z"), paulialg.k_phase(paulialg.single_site(n, j, "Z"), p)) for j in range(n)]
-    return CliffordTableau(n, tuple(xs), tuple(zs))
+    base = identity_tableau(p.n)
+    xs = tuple(paulialg.signed(g, paulialg.k_phase(g, p)) for g in base.x_images)
+    zs = tuple(paulialg.signed(g, paulialg.k_phase(g, p)) for g in base.z_images)
+    return CliffordTableau(p.n, xs, zs)
 
 
 def compose(a: CliffordTableau, b: CliffordTableau) -> CliffordTableau:
@@ -159,11 +142,9 @@ def inverse(c: CliffordTableau) -> CliffordTableau:
     sinv = (omega @ s.T @ omega) % 2
 
     def image_row(r: int) -> PauliString:
-        bits = sinv[r]
-        cand = PauliString(n, tuple(int(v) for v in bits[:n]), tuple(int(v) for v in bits[n:]), 0)
-        fwd = conjugate_pauli(c, cand)
+        fwd = conjugate_pauli(c, paulialg.from_symplectic(sinv[r]))
         # fwd must be +/- the generator r; cancel its phase
-        return PauliString(n, cand.x_bits, cand.z_bits, (-fwd.phase) % 4)
+        return paulialg.from_symplectic(sinv[r], (-fwd.phase) % 4)
 
     xs = tuple(image_row(r) for r in range(n))
     zs = tuple(image_row(n + r) for r in range(n))
@@ -176,7 +157,7 @@ def trace_sq(c: CliffordTableau) -> int:
     total = 0
     for p in paulialg.enumerate_paulis(c.n):
         img = conjugate_pauli(c, p)
-        if img.x_bits == p.x_bits and img.z_bits == p.z_bits:
+        if img.representative() == p:
             total += 1 if img.phase == 0 else -1
     return total
 
@@ -218,13 +199,9 @@ def random_clifford(n: int, rng: np.random.Generator) -> CliffordTableau:
                     basis[r] = (basis[r] + basis[pivot]) % 2
                 basis = np.delete(basis, pivot, axis=0)
 
-    def as_pauli(bits, sign_bit):
-        return PauliString(n, tuple(int(v) for v in bits[:n]),
-                           tuple(int(v) for v in bits[n:]), 2 * int(sign_bit))
-
     signs = rng.integers(0, 2, size=2 * n)
-    xs = tuple(as_pauli(pairs[i][0], signs[i]) for i in range(n))
-    zs = tuple(as_pauli(pairs[i][1], signs[n + i]) for i in range(n))
+    xs = tuple(paulialg.from_symplectic(pairs[i][0], 2 * int(signs[i])) for i in range(n))
+    zs = tuple(paulialg.from_symplectic(pairs[i][1], 2 * int(signs[n + i])) for i in range(n))
     return CliffordTableau(n, xs, zs)
 
 
@@ -363,12 +340,9 @@ def to_dense(c: CliffordTableau) -> np.ndarray:
     for g in reversed(word):
         u0 = u0 @ _gate_dense(g, n).conj().T
     # Pauli correction from sign mismatches of generator images
-    zs_fix = []
-    xs_fix = []
-    for r in range(2 * n):
-        gen = (paulialg.single_site(n, r, "X") if r < n
-               else paulialg.single_site(n, r - n, "Z"))
-        target = c.x_images[r] if r < n else c.z_images[r - n]
+    gens = identity_tableau(n)
+    flips = []
+    for gen, target in zip(gens.x_images + gens.z_images, c.x_images + c.z_images):
         got = u0.conj().T @ pauli_to_dense(gen) @ u0
         ref = pauli_to_dense(target.representative())
         idx = np.unravel_index(np.argmax(np.abs(ref)), ref.shape)
@@ -377,12 +351,9 @@ def to_dense(c: CliffordTableau) -> np.ndarray:
         if abs(ratio - sign_got) > 1e-8 or sign_got not in (1, -1):
             raise RuntimeError("synthesized unitary disagrees with tableau bits")
         target_sign = 1 if target.phase == 0 else -1
-        delta = 1 if sign_got != target_sign else 0
-        if r < n:
-            zs_fix.append(delta)
-        else:
-            xs_fix.append(delta)
-    correction = PauliString(n, tuple(xs_fix), tuple(zs_fix), 0)
+        flips.append(1 if sign_got != target_sign else 0)
+    # Z_j flips the sign of the image of X_j, and X_j that of Z_j
+    correction = paulialg.from_symplectic(flips[n:] + flips[:n])
     u = pauli_to_dense(correction) @ u0
     # normalize the free global phase: first significant entry real positive
     flat = u.flatten()
@@ -408,9 +379,7 @@ def tableau_from_json(data: dict) -> CliffordTableau:
     phases = data["phases"]
 
     def row(r):
-        bits = mat[r]
-        return PauliString(n, tuple(int(v) for v in bits[:n]),
-                           tuple(int(v) for v in bits[n:]), 2 * int(phases[r]))
+        return paulialg.from_symplectic(mat[r], 2 * int(phases[r]))
 
     c = CliffordTableau(n, tuple(row(r) for r in range(n)),
                         tuple(row(n + r) for r in range(n)))

@@ -12,6 +12,7 @@ loops can fan out across workers without changing results.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -63,14 +64,13 @@ _SIGMA = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
-_LETTER = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 
 
 def pauli_to_dense(p: PauliString) -> np.ndarray:
     """Dense matrix of a PauliString, phase included."""
     m = np.array([[1]], dtype=complex)
-    for x, z in zip(p.x_bits, p.z_bits):
-        m = np.kron(m, _SIGMA[_LETTER[(x, z)]])
+    for letter in p.letters():
+        m = np.kron(m, _SIGMA[letter])
     return (1j**p.phase) * m
 
 
@@ -231,10 +231,9 @@ def pauli_ensemble(n: int) -> Ensemble:
 
 def pauli_x_ensemble(n: int) -> Ensemble:
     """Uniform over the 2^n tensor products of I and X (bit-flip strings)."""
-    els = []
-    for bits in range(2**n):
-        xs = tuple((bits >> j) & 1 for j in range(n))
-        els.append(PauliString(n, xs, (0,) * n))
+    # qubit 0 varies fastest: element m carries X on qubit j iff bit j of m is set
+    els = [paulialg.from_symplectic(xs[::-1] + (0,) * n)
+           for xs in itertools.product((0, 1), repeat=n)]
     w = (1.0 / len(els),) * len(els)
     return Ensemble("pauli-x", 2**n, weights=w, elements=tuple(els))
 
@@ -272,6 +271,8 @@ def brickwork_ensemble(n: int, depth: int, seed: int | None = None) -> Ensemble:
     """
     if n < 2:
         raise ValueError("brickwork needs at least 2 qubits")
+    if depth < 1:
+        raise ValueError(f"brickwork needs depth >= 1, got depth={depth}")
     d = 2**n
 
     def draw(rng):

@@ -23,7 +23,6 @@ from .estimate import Estimate
 from .otolab import OtoSpec, oto_ensemble_average
 from .paulialg import PauliString
 
-VIA_OTO_GUARD = 65536  # number of Pauli tuples enumerated
 TAU_CHUNK = 8192  # tau values per block of the time average: bounds memory at TAU_CHUNK x d
 
 
@@ -89,7 +88,7 @@ def frame_potential_via_oto(ens: Ensemble, k: int) -> Estimate:
         raise ValueError("the OTO route enumerates exact ensemble averages; "
                          "discrete ensembles only")
     n = int(math.log2(ens.dim))
-    if 4 ** (2 * n * k) > VIA_OTO_GUARD:
+    if 4 ** (2 * n * k) > paulialg.MAX_PAULI_TUPLES:
         raise ValueError("Pauli tuple budget exceeded")
     d = ens.dim
     paulis = paulialg.enumerate_paulis(n)

@@ -21,6 +21,7 @@ do the averages, so silent orderings invite mistakes:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -108,8 +109,7 @@ def oto_correlator(u: np.ndarray, spec: OtoSpec) -> complex:
 def _conjugated_b(element, b: PauliString) -> PauliString:
     """U^dag B U for a Pauli or Clifford ensemble element, exactly."""
     if isinstance(element, PauliString):
-        sign = paulialg.k_phase(b, element)
-        return PauliString(b.n, b.x_bits, b.z_bits, (b.phase + (0 if sign > 0 else 2)) % 4)
+        return paulialg.signed(b, paulialg.k_phase(b, element))
     if isinstance(element, CliffordTableau):
         return conjugate_pauli(element, b)
     raise TypeError
@@ -138,8 +138,8 @@ def oto_ensemble_average(ens: Ensemble, spec: OtoSpec,
             else:
                 total += w * oto_correlator(element_to_matrix(el), spec)
         return Estimate(total, 0.0, len(ens.elements), method="exact")
-    if mc_samples is None or mc_samples < 1:
-        raise ValueError("sampler ensembles need a positive mc_samples")
+    if mc_samples is None or mc_samples < 2:
+        raise ValueError("sampler ensembles need mc_samples >= 2")
     seed = ens.resolve_seed(seed)
     vals = np.empty(mc_samples, dtype=complex)
     for i, el in enumerate(ens.sample_block(seed, mc_samples)):
@@ -228,24 +228,12 @@ def restricted_average_commutator(u: np.ndarray, a_ops) -> complex:
     """Average of the commutator-ordered 4m-point correlator over all
     non-identity B_1..B_m tuples, for one fixed unitary (exact sum)."""
     a_ops = tuple(a_ops)
-    n = a_ops[0].n
-    m = len(a_ops)
-    non_identity = [p for p in paulialg.enumerate_paulis(n) if not p.is_identity_bits]
+    non_identity = [p for p in paulialg.enumerate_paulis(a_ops[0].n) if not p.is_identity_bits]
+    b_tuples = list(itertools.product(non_identity, repeat=len(a_ops)))
     total = 0j
-    count = 0
-
-    def rec(chosen):
-        nonlocal total, count
-        if len(chosen) == m:
-            spec = OtoSpec(a_ops, tuple(chosen), "commutator")
-            total += oto_correlator(u, spec)
-            count += 1
-            return
-        for b in non_identity:
-            rec(chosen + [b])
-
-    rec([])
-    return total / count
+    for b_ops in b_tuples:
+        total += oto_correlator(u, OtoSpec(a_ops, b_ops, "commutator"))
+    return total / len(b_tuples)
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +251,6 @@ class ChannelCoefficients:
 
 def _tuple_iter(n: int, k: int):
     """All k-tuples of Pauli representatives in enumeration order."""
-    import itertools
-
     return itertools.product(paulialg.enumerate_paulis(n), repeat=k)
 
 
@@ -430,7 +416,7 @@ def predict(ensemble_kind: str, correlator_kind: str, d: int, *,
         if paulis is None:
             raise ValueError("pauli four_point needs paulis=(A, B, C, D)")
         a, b, c, cd = paulis
-        if _supports_overlap(a, b):
+        if paulialg.supports_overlap(a, b):
             raise ValueError("the Pauli-ensemble closed form needs A and B "
                              "with disjoint supports")
         return _pair_expectation(a, c) * _pair_expectation(b, cd)
@@ -489,13 +475,6 @@ def _require_non_identity(paulis):
     for p in paulis:
         if p.is_identity_bits:
             raise ValueError("operators must be non-identity Paulis")
-
-
-def _supports_overlap(a: PauliString, b: PauliString) -> bool:
-    for j in range(a.n):
-        if (a.x_bits[j] or a.z_bits[j]) and (b.x_bits[j] or b.z_bits[j]):
-            return True
-    return False
 
 
 def four_point_haar_dense(a, b, c, d_op) -> complex:

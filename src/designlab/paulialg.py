@@ -6,6 +6,12 @@ I, X, Y, Z selected by the bit pair ``(x_j, z_j)``:
 
     (0, 0) -> I,   (1, 0) -> X,   (0, 1) -> Z,   (1, 1) -> Y.
 
+The x and z bits are held as two Python ints, qubit j at bit n-1-j, so a
+label read as a binary number ("XIZY" -> x = 0b1001, z = 0b0011) gives the
+masks. Only this module knows that layout: other modules read and build
+Paulis through labels, the constructors below and the symplectic-row pair
+`to_symplectic` / `from_symplectic`.
+
 All products, commutators and traces are computed exactly over the integers;
 no dense matrices are built here (dense conversion lives in densemat).
 Everything is immutable and side-effect free, so values are safe to share
@@ -18,79 +24,120 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# String labels per bit pair, indexed by x + 2*z.
+# Letter of each single-qubit factor, indexed by x + 2*z.
 _LABELS = "IXZY"
-_BITS_FROM_LABEL = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 
 # Enumeration guard: 4^8 = 65536 strings is the largest table any test needs.
 MAX_ENUM_QUBITS = 8
+# Budget on the Pauli tuples one exact Pauli-summed identity may walk.
+MAX_PAULI_TUPLES = 65536
 
 
 @dataclass(frozen=True)
 class PauliString:
-    """An n-qubit Pauli operator with an exact phase (power of i)."""
+    """An n-qubit Pauli operator with an exact phase (power of i).
+
+    `x` and `z` are bit masks with qubit j at bit n-1-j."""
 
     n: int
-    x_bits: tuple[int, ...]
-    z_bits: tuple[int, ...]
+    x: int
+    z: int
     phase: int = 0
 
     def __post_init__(self):
         if self.n <= 0:
             raise ValueError("qubit count must be positive")
-        if len(self.x_bits) != self.n or len(self.z_bits) != self.n:
-            raise ValueError("bit vectors must have exactly n entries")
-        if any(b not in (0, 1) for b in self.x_bits + self.z_bits):
-            raise ValueError("bits must be 0 or 1")
+        if not (0 <= self.x < 1 << self.n and 0 <= self.z < 1 << self.n):
+            raise ValueError("bit masks must hold exactly n bits")
         if self.phase not in (0, 1, 2, 3):
             raise ValueError("phase exponent must be in {0,1,2,3}")
 
     @property
     def is_identity_bits(self) -> bool:
         """True when all symplectic bits vanish (operator is i**phase * I)."""
-        return not any(self.x_bits) and not any(self.z_bits)
+        return not (self.x | self.z)
 
     def representative(self) -> "PauliString":
         """The phase-0 representative with the same bits."""
-        return PauliString(self.n, self.x_bits, self.z_bits, 0)
+        return PauliString(self.n, self.x, self.z, 0)
 
     def adjoint(self) -> "PauliString":
         """Hermitian conjugate; the Hermitian base makes this a phase flip."""
-        return PauliString(self.n, self.x_bits, self.z_bits, (-self.phase) % 4)
+        return PauliString(self.n, self.x, self.z, (-self.phase) % 4)
+
+    def letters(self) -> str:
+        """The letter of each qubit's factor, leftmost = qubit 0; the phase
+        is not part of it."""
+        return "".join(_LABELS[(self.x >> b & 1) + 2 * (self.z >> b & 1)]
+                       for b in range(self.n - 1, -1, -1))
 
     def label(self) -> str:
-        """Text form, e.g. "XIZY" (leftmost letter = qubit 0). Phase dropped.
+        """Text form, e.g. "XIZY" (leftmost letter = qubit 0).
 
         Serialization always deals in representatives; a nonzero phase is an
         error rather than silently discarded information.
         """
         if self.phase != 0:
             raise ValueError("only phase-0 representatives are serialized")
-        return "".join(_LABELS[x + 2 * z] for x, z in zip(self.x_bits, self.z_bits))
+        return self.letters()
 
 
 def from_label(label: str) -> PauliString:
     """Parse a text Pauli string such as "XIZY" (leftmost = qubit 0)."""
-    try:
-        pairs = [_BITS_FROM_LABEL[c] for c in label.upper()]
-    except KeyError as exc:
-        raise ValueError(f"invalid Pauli letter in {label!r}") from exc
-    if not pairs:
+    if not label:
         raise ValueError("empty Pauli label")
-    return PauliString(len(pairs), tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
+    x = z = 0
+    for c in label.upper():
+        digit = _LABELS.find(c)
+        if digit < 0:
+            raise ValueError(f"invalid Pauli letter in {label!r}")
+        x, z = x << 1 | digit & 1, z << 1 | digit >> 1
+    return PauliString(len(label), x, z)
 
 
 def identity(n: int) -> PauliString:
-    return PauliString(n, (0,) * n, (0,) * n, 0)
+    return PauliString(n, 0, 0, 0)
 
 
 def single_site(n: int, site: int, letter: str) -> PauliString:
     """The Pauli acting as `letter` on `site` and as identity elsewhere."""
-    x, z = _BITS_FROM_LABEL[letter.upper()]
-    xs = [0] * n
-    zs = [0] * n
-    xs[site], zs[site] = x, z
-    return PauliString(n, tuple(xs), tuple(zs))
+    return embed(from_label(letter), n, (site,))
+
+
+def embed(p: PauliString, n: int, qubits) -> PauliString:
+    """p on the listed qubits of an n-qubit register (qubit j of p acts on
+    qubits[j]), identity elsewhere; the phase is kept."""
+    if len(qubits) != p.n:
+        raise ValueError(f"need {p.n} target qubits, got {len(qubits)}")
+    x = z = 0
+    for j, q in enumerate(qubits):
+        b = p.n - 1 - j
+        x |= (p.x >> b & 1) << (n - 1 - q)
+        z |= (p.z >> b & 1) << (n - 1 - q)
+    return PauliString(n, x, z, p.phase)
+
+
+def to_symplectic(p: PauliString) -> tuple[int, ...]:
+    """The length-2n GF(2) row (x_1 .. x_n | z_1 .. z_n) of p; phase dropped."""
+    shifts = range(p.n - 1, -1, -1)
+    return tuple(p.x >> b & 1 for b in shifts) + tuple(p.z >> b & 1 for b in shifts)
+
+
+def from_symplectic(row, phase: int = 0) -> PauliString:
+    """The Pauli i**phase * P with symplectic row (x_1 .. x_n | z_1 .. z_n)."""
+    bits = [int(v) for v in row]
+    if len(bits) % 2 or any(b not in (0, 1) for b in bits):
+        raise ValueError("a symplectic row holds 2n bits, each 0 or 1")
+    n = len(bits) // 2
+    x = z = 0
+    for xb, zb in zip(bits[:n], bits[n:]):
+        x, z = x << 1 | xb, z << 1 | zb
+    return PauliString(n, x, z, phase)
+
+
+def signed(p: PauliString, sign: int) -> PauliString:
+    """sign * p for sign in {+1, -1}."""
+    return p if sign > 0 else PauliString(p.n, p.x, p.z, (p.phase + 2) % 4)
 
 
 def _check_same_n(p: PauliString, q: PauliString):
@@ -106,28 +153,41 @@ def mul(p: PauliString, q: PauliString) -> PauliString:
     factor of i per Y.
     """
     _check_same_n(p, q)
+    x, z = p.x ^ q.x, p.z ^ q.z
     # Phase relative to the ordered product X^x Z^z on each site.
-    xz_p = sum(a & b for a, b in zip(p.x_bits, p.z_bits))
-    xz_q = sum(a & b for a, b in zip(q.x_bits, q.z_bits))
-    cross = sum(a & b for a, b in zip(p.z_bits, q.x_bits))
-    x_r = tuple(a ^ b for a, b in zip(p.x_bits, q.x_bits))
-    z_r = tuple(a ^ b for a, b in zip(p.z_bits, q.z_bits))
-    xz_r = sum(a & b for a, b in zip(x_r, z_r))
-    phase = (p.phase + q.phase + xz_p + xz_q + 2 * cross - xz_r) % 4
-    return PauliString(p.n, x_r, z_r, phase)
+    phase = (p.phase + q.phase + (p.x & p.z).bit_count() + (q.x & q.z).bit_count()
+             + 2 * (p.z & q.x).bit_count() - (x & z).bit_count()) % 4
+    return PauliString(p.n, x, z, phase)
 
 
 def commutes(p: PauliString, q: PauliString) -> bool:
     """True iff the symplectic inner product x_p.z_q + z_p.x_q is even."""
     _check_same_n(p, q)
-    s = sum(a & b for a, b in zip(p.x_bits, q.z_bits))
-    s += sum(a & b for a, b in zip(p.z_bits, q.x_bits))
-    return s % 2 == 0
+    return ((p.x & q.z) ^ (p.z & q.x)).bit_count() % 2 == 0
+
+
+def supports_overlap(p: PauliString, q: PauliString) -> bool:
+    """True iff some qubit carries a non-identity factor of both p and q."""
+    _check_same_n(p, q)
+    return bool((p.x | p.z) & (q.x | q.z))
 
 
 def k_phase(p: PauliString, q: PauliString) -> int:
     """The sign K with q^dag p q = K p:  +1 if [p,q]=0, -1 if {p,q}=0."""
     return 1 if commutes(p, q) else -1
+
+
+def apply_images(p: PauliString, images) -> PauliString:
+    """p under the automorphism with X_j -> images[j], Z_j -> images[n + j].
+
+    p = i^(phase + x.z) * prod_j X_j^{x_j} * prod_j Z_j^{z_j}, so its image
+    is that scalar times the ordered product of the generator images.
+    """
+    out = identity(p.n)
+    for bit, img in zip(to_symplectic(p), images):
+        if bit:
+            out = mul(out, img)
+    return PauliString(p.n, out.x, out.z, (out.phase + p.phase + (p.x & p.z).bit_count()) % 4)
 
 
 def mul_all(factors) -> PauliString:
@@ -166,6 +226,17 @@ def trace_product(factors, n: int | None = None) -> complex:
     return complex(re, im)
 
 
+def _decode(n: int, code: int) -> PauliString:
+    """The Pauli with base-4 code `code`: one digit I=0, X=1, Z=2, Y=3 per
+    qubit, qubit 0 the most significant digit. The code's even bits are x
+    and its odd bits z."""
+    x = z = 0
+    for b in range(n):
+        x |= (code >> 2 * b & 1) << b
+        z |= (code >> 2 * b + 1 & 1) << b
+    return PauliString(n, x, z)
+
+
 def enumerate_paulis(n: int):
     """All 4^n phase-0 representatives in a fixed deterministic order.
 
@@ -174,40 +245,10 @@ def enumerate_paulis(n: int):
     """
     if n > MAX_ENUM_QUBITS:
         raise ValueError(f"enumeration guard exceeded: n={n} > {MAX_ENUM_QUBITS}")
-    out = []
-    for code in range(4**n):
-        xs, zs = [], []
-        c = code
-        for _ in range(n):
-            digit = c % 4
-            c //= 4
-            x, z = _BITS_FROM_LABEL[_LABELS[digit]]
-            xs.append(x)
-            zs.append(z)
-        # base-4 digits were produced least significant first; qubit 0 is the
-        # most significant digit, so reverse.
-        out.append(PauliString(n, tuple(reversed(xs)), tuple(reversed(zs))))
-    return out
-
-
-def pauli_index(p: PauliString) -> int:
-    """Position of p's representative in the enumerate_paulis(n) order."""
-    code = 0
-    for x, z in zip(p.x_bits, p.z_bits):
-        code = 4 * code + _LABELS.index(_LABELS[x + 2 * z])
-    return code
+    return [_decode(n, code) for code in range(4**n)]
 
 
 def random_pauli(n: int, rng: np.random.Generator, exclude_identity: bool = False) -> PauliString:
     """Uniform draw over the 4^n representatives (4^n - 1 when excluding I)."""
     lo = 1 if exclude_identity else 0
-    code = int(rng.integers(lo, 4**n))
-    xs, zs = [], []
-    c = code
-    for _ in range(n):
-        digit = c % 4
-        c //= 4
-        x, z = _BITS_FROM_LABEL[_LABELS[digit]]
-        xs.append(x)
-        zs.append(z)
-    return PauliString(n, tuple(reversed(xs)), tuple(reversed(zs)))
+    return _decode(n, int(rng.integers(lo, 4**n)))

@@ -111,16 +111,11 @@ def _choi_marginal(state: ChoiState, in_qubits, out_qubits) -> np.ndarray:
 
 
 def _region_paulis(n: int, qubits) -> list[PauliString]:
-    """All Paulis supported on `qubits` (identity included), embedded in n."""
-    out = []
-    for combo in itertools.product("IXZY", repeat=len(qubits)):
-        xs = [0] * n
-        zs = [0] * n
-        for q, letter in zip(qubits, combo):
-            p = paulialg.from_label(letter)
-            xs[q], zs[q] = p.x_bits[0], p.z_bits[0]
-        out.append(PauliString(n, tuple(xs), tuple(zs)))
-    return out
+    """All Paulis supported on `qubits` (identity included), embedded in n,
+    in the enumerate_paulis(len(qubits)) order."""
+    if not qubits:
+        return [paulialg.identity(n)]
+    return [paulialg.embed(p, n, qubits) for p in paulialg.enumerate_paulis(len(qubits))]
 
 
 def oto_renyi2_check(u: np.ndarray, part: IoPartition) -> tuple[float, float]:
@@ -157,10 +152,15 @@ def renyi_k_oto(u: np.ndarray, part: IoPartition, k: int) -> tuple[float, float]
     (A_1 A_2 ... A_{k-1})^-1 and (D_1 ... D_{k-1})^-1, normalized by the
     number of free tuples.
     rhs: (d/(d_A d_D))^(k-1) 2^(-(k-1) S_k(rho_AC)) = that prefactor times
-    tr(rho_AC^k). k=2 reduces to oto_renyi2_check.
+    tr(rho_AC^k). k=2 reduces to oto_renyi2_check. The lhs walks
+    (d_A^2 d_D^2)^(k-1) tuples, at most paulialg.MAX_PAULI_TUPLES.
     """
     if k < 2:
         raise ValueError(f"the Renyi-k identity needs k >= 2, got k={k}")
+    tuples = (part.d_a * part.d_d) ** (2 * (k - 1))
+    if tuples > paulialg.MAX_PAULI_TUPLES:
+        raise ValueError(f"Pauli tuple budget exceeded: (d_A^2 d_D^2)^(k-1) = {tuples} "
+                         f"> {paulialg.MAX_PAULI_TUPLES}")
     u = check_unitary(u)
     d = 2**part.n
     a_paulis = _region_paulis(part.n, part.a_qubits)

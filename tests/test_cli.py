@@ -84,6 +84,11 @@ class TestFramepotCommand:
         assert report["reference"] == reference
         assert report["reference_formula"] == formula
 
+    def test_zero_depth_is_a_config_error(self, capsys):
+        err = assert_config_error(capsys, "framepot", "--ensemble", "brickwork", "--n", "2",
+                                  "--depth", "0", "--k", "1", "--samples", "20", "--seed", "1")
+        assert "depth >= 1" in err
+
     def test_reports_are_byte_identical(self, capsys):
         argv = ("framepot", "--ensemble", "haar", "--n", "1", "--k", "1",
                 "--samples", "500", "--seed", "42")
@@ -108,6 +113,11 @@ class TestOtoCommand:
         assert code == 0
         report = json.loads(out)
         assert abs(report["value"] - report["prediction"]) <= 5 * report["std_error"]
+
+    def test_one_sample_is_a_config_error(self, capsys):
+        err = assert_config_error(capsys, "oto", "--ensemble", "haar", "--n", "1",
+                                  "--samples", "1", "--seed", "1")
+        assert "mc_samples >= 2" in err
 
     def test_commutator8_needs_two_qubits(self, capsys):
         code, _ = run(capsys, "oto", "--ensemble", "haar", "--n", "1",
@@ -151,6 +161,11 @@ class TestScrambleCommand:
     def test_k_below_two_is_a_config_error(self, capsys, k):
         err = assert_config_error(capsys, "scramble", "--n", "2", "--k", k)
         assert "k >= 2" in err
+
+    def test_tuple_budget_is_a_config_error(self, capsys):
+        # (d_A^2 d_D^2)^(k-1) = 16^6 tuples at n=2, k=7: past the budget
+        err = assert_config_error(capsys, "scramble", "--n", "2", "--k", "7", "--seed", "1")
+        assert "Pauli tuple budget" in err
 
     def test_haar_unitary_identity_holds(self, capsys):
         code, out = run(capsys, "scramble", "--unitary", "haar", "--n", "2",
@@ -217,6 +232,18 @@ class TestNonFiniteReports:
         assert code == cli.EXIT_CHECK_FAILED == 1
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ("framepot", "--ensemble", "clifford", "--n", "1", "--k", "600", "--exact"),
+        ("framepot", "--ensemble", "haar", "--n", "1", "--k", "600", "--samples", "10",
+         "--seed", "1"),
+    ])
+    def test_float_overflow_exits_1_without_report(self, capsys, argv):
+        code = cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_CHECK_FAILED == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 class TestVerifyCommand:

@@ -1,7 +1,11 @@
 """Tests for Clifford tableaux: conjugation, sampling, enumeration, synthesis."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from designlab import cliffordgrp as cg
 from designlab import paulialg
@@ -14,6 +18,40 @@ CHI2_23_CRIT = 49.728
 
 def conj_dense(u, m):
     return u.conj().T @ m @ u
+
+
+# Property tests draw the same cases on every run (derandomize) and keep no
+# example database, so tier-1 stays deterministic.
+PROPERTY = settings(derandomize=True, database=None, deadline=None)
+
+
+@st.composite
+def cliffords(draw, max_n=3):
+    n = draw(st.integers(1, max_n))
+    return cg.random_clifford(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+
+
+@st.composite
+def cliffords_and_paulis(draw):
+    """A Clifford on n <= 3 qubits and a Pauli on the same qubits, any phase."""
+    c = draw(cliffords())
+    label = draw(st.text("IXYZ", min_size=c.n, max_size=c.n))
+    return c, dataclasses.replace(from_label(label), phase=draw(st.integers(0, 3)))
+
+
+class TestDenseProperties:
+    @PROPERTY
+    @given(cliffords_and_paulis())
+    def test_conjugate_pauli(self, case):
+        c, p = case
+        u = cg.to_dense(c)
+        np.testing.assert_allclose(pauli_to_dense(cg.conjugate_pauli(c, p)),
+                                   conj_dense(u, pauli_to_dense(p)), atol=1e-10)
+
+    @PROPERTY
+    @given(cliffords())
+    def test_trace_sq(self, c):
+        assert cg.trace_sq(c) == pytest.approx(abs(np.trace(cg.to_dense(c))) ** 2, abs=1e-8)
 
 
 class TestConjugatePauli:
@@ -48,7 +86,7 @@ class TestConjugatePauli:
     def test_phase_gate(self):
         s = cg.phase_gate_tableau(1, 0)
         img = cg.conjugate_pauli(s, from_label("X"))
-        assert (img.x_bits, img.z_bits, img.phase) == ((1,), (1,), 2)  # -Y
+        assert img.representative() == from_label("Y") and img.phase == 2  # -Y
 
     def test_composition_matches_sequential_conjugation(self):
         rng = np.random.default_rng(5)
@@ -191,6 +229,12 @@ class TestGroupStructure:
             uu = np.kron(u, u)
             acc += uu.conj().T @ np.kron(p, q) @ uu
         assert np.linalg.norm(acc) <= 1e-10
+
+    def test_key_bytes(self):
+        # symplectic rows (x | z) of the X and Z images, then the sign bits
+        assert cg.hadamard_tableau(1, 0).key() == bytes([0, 1, 1, 0, 0, 0])
+        assert cg.phase_gate_tableau(1, 0).key() == bytes([1, 1, 0, 1, 1, 0])
+        assert cg.cz_tableau(2, 0, 1).key()[:8] == bytes([1, 0, 0, 1, 0, 1, 1, 0])
 
     def test_json_roundtrip(self):
         rng = np.random.default_rng(8)

@@ -306,6 +306,15 @@ class TestEnsembles:
         c = ens.sample_block(5, 3, block=1)
         assert not np.array_equal(a[0], c[0])
 
+    def test_pauli_x_order(self):
+        # element m carries X on qubit j iff bit j of m is set
+        labels = [p.label() for p in dm.pauli_x_ensemble(2).elements]
+        assert labels == ["II", "XI", "IX", "XX"]
+
+    def test_brickwork_needs_a_layer(self):
+        with pytest.raises(ValueError, match="depth >= 1"):
+            dm.brickwork_ensemble(2, 0)
+
     def test_brickwork_unitary(self):
         ens = dm.brickwork_ensemble(3, 4, seed=9)
         u = ens.sample_block(9, 1)[0]

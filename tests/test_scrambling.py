@@ -1,5 +1,6 @@
 """Tests for Choi-state scrambling diagnostics and the catch game."""
 
+import itertools
 import math
 
 import numpy as np
@@ -78,6 +79,16 @@ class TestRenyiEntropy:
     def test_invalid_state(self):
         with pytest.raises(ValueError):
             sc.renyi_entropy(np.diag([1.5, -0.5]).astype(complex), 2)
+
+
+class TestRegionPaulis:
+    def test_enumeration_order_embedded(self):
+        # region digit j sits on qubits[j]: (2, 0) puts the first letter on qubit 2
+        labels = [p.label() for p in sc._region_paulis(3, (2, 0))]
+        assert labels == [b + "I" + a for a, b in itertools.product("IXZY", repeat=2)]
+
+    def test_empty_region_is_the_identity(self):
+        assert sc._region_paulis(2, ()) == [paulialg.identity(2)]
 
 
 class TestRenyi2Identity:
