@@ -201,8 +201,7 @@ def cmd_oto(args) -> int:
     n = args.n
     spec, prediction, formula = _default_oto_spec(args.kind, n, args.m)
     ens = build_ensemble(args.ensemble, n, args.seed, args.depth, args.t)
-    mc = None if ens.kind == "discrete" else args.samples
-    est = otolab.oto_ensemble_average(ens, spec, mc_samples=mc, seed=args.seed)
+    est = otolab.oto_ensemble_average(ens, spec, mc_samples=args.samples, seed=args.seed)
     value = complex(est.value)
     pred = None if prediction is None else float(prediction)
     report = {
@@ -412,11 +411,7 @@ def _verify_checks(quick: bool):
         est_mc = fp.frame_potential_mc(dm.haar_ensemble(2, seed=7), 1, 4000)
         yield ("Haar MC F1 (d=2, 5 sigma)", est_mc.value, 1.0, 5 * est_mc.std_error)
         ens4 = dm.haar_ensemble(4, seed=8)
-        spec = OtoSpec((xx, xx), (zz, zz))
-        # embed on two qubits
-        x20 = paulialg.single_site(2, 0, "X")
-        z20 = paulialg.single_site(2, 0, "Z")
-        est_oto = otolab.oto_ensemble_average(ens4, OtoSpec((x20, x20), (z20, z20)),
+        est_oto = otolab.oto_ensemble_average(ens4, OtoSpec((x0, x0), (z0, z0)),
                                               mc_samples=4000)
         yield ("Haar MC 4pt (d=4, 5 sigma)", est_oto.value.real, -1 / 15,
                5 * est_oto.std_error)

@@ -45,6 +45,25 @@ def check_hermitian(h: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
     return h
 
 
+def check_mc_samples(mc_samples: int | None) -> int:
+    """At least 2 Monte-Carlo samples, so a ddof=1 standard error exists."""
+    if mc_samples is None or mc_samples < 2:
+        raise ValueError(f"Monte-Carlo estimates need mc_samples >= 2, got {mc_samples}")
+    return mc_samples
+
+
+def mc_estimate(vals: np.ndarray, seed: int | None) -> Estimate:
+    """Mean of a Monte-Carlo sample with its standard error: std(ddof=1)/sqrt(n)
+    for a real sample, sqrt((var_re + var_im)/n) for a complex one."""
+    n = len(vals)
+    if np.iscomplexobj(vals):
+        mean = complex(vals.mean())
+        se = float(np.sqrt((vals.real.var(ddof=1) + vals.imag.var(ddof=1)) / n))
+    else:
+        mean, se = float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n))
+    return Estimate(mean, se, n, seed=seed, method="monte-carlo")
+
+
 def check_state(rho: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
     """A density matrix: square, Hermitian, unit trace and positive
     semidefinite, each within tol (no eigenvalue below -tol)."""
@@ -209,6 +228,32 @@ class Ensemble:
         rng = np.random.default_rng([seed, block])
         return [self.sampler(rng) for _ in range(count)]
 
+    def average(self, f: Callable, *, pairs: bool = False,
+                mc_samples: int | None = None, seed: int | None = None) -> Estimate:
+        """Ensemble average of f(element), or of f(a, b) over ordered pairs
+        when pairs=True: the exact weighted sum for discrete ensembles (pair
+        weights w_i * w_j, i-major), else `mc_estimate` of mc_samples values
+        from one block, pair i being draws 2i and 2i+1. f may return arrays."""
+        if self.kind == "discrete":
+            if pairs:
+                terms = ((wa * wb) * f(a, b) for wa, a in zip(self.weights, self.elements)
+                         for wb, b in zip(self.weights, self.elements))
+            else:
+                terms = (w * f(el) for w, el in zip(self.weights, self.elements))
+            total = 0
+            for term in terms:
+                total += term
+            n = len(self.elements)
+            return Estimate(total, 0.0, n * n if pairs else n, method="exact")
+        check_mc_samples(mc_samples)
+        seed = self.resolve_seed(seed)
+        if pairs:
+            draws = self.sample_block(seed, 2 * mc_samples)
+            vals = [f(draws[2 * i], draws[2 * i + 1]) for i in range(mc_samples)]
+        else:
+            vals = [f(el) for el in self.sample_block(seed, mc_samples)]
+        return mc_estimate(np.array(vals), seed)
+
     def resolve_seed(self, seed: int | None) -> int:
         if seed is not None:
             return seed
@@ -323,8 +368,8 @@ def kfold_channel_apply(ens: Ensemble, a: np.ndarray, k: int,
     """Apply the k-fold channel of an ensemble to an operator on d^k.
 
     Discrete ensembles give the exact weighted sum
-    sum_j p_j (U_j^(x)k)^dag A U_j^(x)k; samplers give a Monte-Carlo mean
-    with an entrywise standard error.
+    sum_j p_j (U_j^(x)k)^dag A U_j^(x)k; samplers give a streamed Monte-Carlo
+    mean with an entrywise standard error (ddof=1).
     """
     a = np.asarray(a, dtype=complex)
     side = ens.dim**k
@@ -333,22 +378,19 @@ def kfold_channel_apply(ens: Ensemble, a: np.ndarray, k: int,
     if side > DENSE_GUARD:
         raise ValueError("dense guard exceeded")
     if ens.kind == "discrete":
-        out = np.zeros_like(a)
-        for w, el in zip(ens.weights, ens.elements):
-            out += w * _kfold_conjugate(element_to_matrix(el), a, k)
-        return ChannelApplyResult(out, None, len(ens.elements), "exact")
-    if mc_samples is None or mc_samples < 1:
-        raise ValueError("sampler ensembles need a positive mc_samples")
+        est = ens.average(lambda el: _kfold_conjugate(element_to_matrix(el), a, k))
+        return ChannelApplyResult(est.value, None, est.n_samples, "exact")
+    n = check_mc_samples(mc_samples)
     seed = ens.resolve_seed(seed)
     acc = np.zeros_like(a)
     acc2 = np.zeros(a.shape)
-    for el in ens.sample_block(seed, mc_samples):
+    for el in ens.sample_block(seed, n):
         term = _kfold_conjugate(element_to_matrix(el), a, k)
         acc += term
         acc2 += np.abs(term) ** 2
-    mean = acc / mc_samples
-    var = np.maximum(acc2 / mc_samples - np.abs(mean) ** 2, 0.0)
-    return ChannelApplyResult(mean, np.sqrt(var / mc_samples), mc_samples, "monte-carlo")
+    mean = acc / n
+    var = np.maximum((acc2 - n * np.abs(mean) ** 2) / (n - 1), 0.0)
+    return ChannelApplyResult(mean, np.sqrt(var / n), n, "monte-carlo")
 
 
 def haar_channel_reference(a: np.ndarray, k: int, d: int) -> np.ndarray:
@@ -383,8 +425,7 @@ def random_sign_state_overlap(d: int, pairs: int, rng: np.random.Generator) -> E
         raise ValueError("d must be at least 2")
     signs = rng.integers(0, 2, size=(pairs, 2, d)) * 2 - 1
     overlaps = np.abs((signs[:, 0, :] * signs[:, 1, :]).sum(axis=1)) / d
-    se = overlaps.std(ddof=1) / np.sqrt(pairs)
-    return Estimate(float(overlaps.mean()), float(se), pairs, method="monte-carlo")
+    return mc_estimate(overlaps, None)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ class Estimate:
     """A numerical result with provenance.
 
     method is one of "exact", "monte-carlo", "time-average". std_error is 0
-    exactly when the method is exact; for time averages it holds the
-    convergence diagnostic |value(t_max) - value(t_max/2)| rather than a
-    statistical error bar.
+    for exact results, positive for Monte-Carlo ones, and for time averages
+    the convergence diagnostic |value(t_max) - value(t_max/2)|, 0 once
+    converged. value is a number, or an array for a matrix-valued average.
     """
 
     value: complex | float
@@ -24,7 +24,7 @@ class Estimate:
     def __post_init__(self):
         if self.method not in ("exact", "monte-carlo", "time-average"):
             raise ValueError(f"unknown method {self.method!r}")
-        if (self.std_error == 0.0) != (self.method == "exact"):
+        if self.method != "time-average" and (self.std_error == 0.0) != (self.method == "exact"):
             raise ValueError("std_error must be 0 iff the method is exact")
         if self.n_samples < 1:
             raise ValueError("n_samples must be at least 1")

@@ -11,14 +11,14 @@ early-time growth) that frame potentials imply.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
 from . import paulialg, wg
 from .cliffordgrp import CliffordTableau, compose, inverse, trace_sq
-from .densemat import Ensemble, check_state, element_to_matrix
+from .densemat import Ensemble, check_mc_samples, check_state, element_to_matrix, mc_estimate
 from .estimate import Estimate
 from .otolab import OtoSpec, oto_ensemble_average
 from .paulialg import PauliString
@@ -50,27 +50,16 @@ def frame_potential_exact(ens: Ensemble, k: int) -> Estimate:
     if ens.kind != "discrete":
         raise ValueError("exact frame potential needs a discrete ensemble; "
                          "use frame_potential_mc for samplers")
-    total = 0.0
-    els = ens.elements
-    for i, a in enumerate(els):
-        for j, b in enumerate(els):
-            total += ens.weights[i] * ens.weights[j] * _pair_abs_trace_sq(a, b) ** k
-    return Estimate(total, 0.0, len(els) ** 2, method="exact")
+    return ens.average(lambda a, b: _pair_abs_trace_sq(a, b) ** k, pairs=True)
 
 
 def frame_potential_mc(ens: Ensemble, k: int, n_pairs: int,
                        seed: int | None = None) -> Estimate:
     """Monte-Carlo frame potential: mean of |tr(U^dag V)|^(2k) over
-    independent pairs, with the plug-in standard error."""
-    if n_pairs < 2:
-        raise ValueError("need at least 2 pairs")
-    seed = ens.resolve_seed(seed)
-    draws = ens.sample_block(seed, 2 * n_pairs)
-    vals = np.empty(n_pairs)
-    for i in range(n_pairs):
-        vals[i] = _pair_abs_trace_sq(draws[2 * i], draws[2 * i + 1]) ** k
-    return Estimate(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_pairs)),
-                    n_pairs, seed=seed, method="monte-carlo")
+    independent pairs, with the plug-in standard error. A discrete ensemble
+    gives its exact double sum, as in frame_potential_exact."""
+    return ens.average(lambda a, b: _pair_abs_trace_sq(a, b) ** k, pairs=True,
+                       mc_samples=n_pairs, seed=seed)
 
 
 def frame_potential_via_oto(ens: Ensemble, k: int) -> Estimate:
@@ -145,10 +134,7 @@ def time_averaged_frame_potential(spectrum, k: int, t_max: float,
         raise ValueError("n_grid must be at least 16")
     value = _trapezoid_double_average(spectrum, k, t_max, n_grid)
     half = _trapezoid_double_average(spectrum, k, t_max / 2, max(n_grid // 2, 16))
-    diag = abs(value - half)
-    if diag == 0.0:
-        diag = 5e-324  # fully converged (e.g. degenerate spectrum); keep > 0
-    return Estimate(value, diag, n_grid, method="time-average")
+    return Estimate(value, abs(value - half), n_grid, method="time-average")
 
 
 # ---------------------------------------------------------------------------
@@ -160,37 +146,23 @@ def _state_root(rho: np.ndarray, k: int) -> np.ndarray:
     return (vecs * np.clip(evals, 0.0, None) ** (1.0 / k)) @ vecs.conj().T
 
 
-def _generalized_integrand(root, u, v, k, variant) -> complex:
-    z1 = np.trace(root @ u @ v.conj().T)
-    if variant == "F":
-        z2 = np.trace(root @ v @ u.conj().T)
-    else:
-        z2 = np.trace(root @ u.conj().T @ v)
-    return (z1 * z2) ** k
-
-
 def _generalized(ens, rho, k, variant, mc_samples, seed) -> Estimate:
     root = _state_root(rho, k)
-    if ens.kind == "discrete":
-        mats = [element_to_matrix(el) for el in ens.elements]
-        total = 0j
-        for i, u in enumerate(mats):
-            for j, v in enumerate(mats):
-                total += ens.weights[i] * ens.weights[j] * _generalized_integrand(root, u, v, k, variant)
-        value = total.real if variant == "F" else total
-        return Estimate(value, 0.0, len(mats) ** 2, method="exact")
-    if mc_samples is None or mc_samples < 2:
-        raise ValueError("sampler ensembles need mc_samples >= 2")
-    seed = ens.resolve_seed(seed)
-    draws = ens.sample_block(seed, 2 * mc_samples)
-    vals = np.empty(mc_samples, dtype=complex)
-    for i in range(mc_samples):
-        u = element_to_matrix(draws[2 * i])
-        v = element_to_matrix(draws[2 * i + 1])
-        vals[i] = _generalized_integrand(root, u, v, k, variant)
-    se = math.sqrt(vals.real.var(ddof=1) / mc_samples + vals.imag.var(ddof=1) / mc_samples)
-    value = float(vals.real.mean()) if variant == "F" else complex(vals.mean())
-    return Estimate(value, se, mc_samples, seed=seed, method="monte-carlo")
+    if ens.kind == "discrete":  # convert each element once, not once per pair
+        ens = replace(ens, elements=tuple(map(element_to_matrix, ens.elements)))
+
+    def integrand(a, b) -> complex:
+        u, v = element_to_matrix(a), element_to_matrix(b)
+        z1 = np.trace(root @ u @ v.conj().T)
+        if variant == "F":
+            z2 = np.trace(root @ v @ u.conj().T)
+        else:
+            z2 = np.trace(root @ u.conj().T @ v)
+        return (z1 * z2) ** k
+
+    est = ens.average(integrand, pairs=True, mc_samples=mc_samples, seed=seed)
+    # F is real: its two traces are complex conjugates
+    return replace(est, value=est.value.real) if variant == "F" else est
 
 
 def generalized_F(ens: Ensemble, rho: np.ndarray, k: int,
@@ -247,8 +219,7 @@ def thermal_W(h_sampler, beta: float, t: float, k: int, mc_samples: int,
     """
     if beta < 0:
         raise ValueError("beta must be nonnegative")
-    if mc_samples < 2:
-        raise ValueError("thermal_W needs mc_samples >= 2")
+    check_mc_samples(mc_samples)
     rng = np.random.default_rng([seed, 0])
     b = beta / (2 * k)
     vals = np.empty(mc_samples)
@@ -262,8 +233,7 @@ def thermal_W(h_sampler, beta: float, t: float, k: int, mc_samples: int,
         num = abs(np.trace(mg @ mh)) ** (2 * k)
         den = np.exp(-beta * (eg - eg.min())).sum() * np.exp(-beta * (eh - eh.min())).sum()
         vals[i] = num / den
-    return Estimate(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(mc_samples)),
-                    mc_samples, seed=seed, method="monte-carlo")
+    return mc_estimate(vals, seed)
 
 
 # ---------------------------------------------------------------------------

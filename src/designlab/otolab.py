@@ -1,11 +1,12 @@
 """2k-point out-of-time-order correlators and their ensemble averages.
 
 Correlators of the form (1/d) tr{A_1 B~_1 ... A_k B~_k} with B~ = U^dag B U,
-their exact averages over discrete ensembles (Pauli sign bookkeeping,
-Clifford tableau conjugation), Monte-Carlo averages over sampler ensembles,
-the exact Haar average via Weingarten calculus, the trace tensor that links
-correlators to k-fold channel coefficients, and a table of closed-form
-ensemble predictions.
+evaluated exactly for Pauli and Clifford elements (sign bookkeeping, tableau
+conjugation) whether they come from a list or a sampler, their ensemble
+averages (exact weighted sums for discrete ensembles, Monte Carlo for
+samplers), the exact Haar average via Weingarten calculus, the trace tensor
+that links correlators to k-fold channel coefficients, and a table of
+closed-form ensemble predictions.
 
 Ordering variants of the 8- and 4m-point correlators are explicit enum
 values rather than free operator lists; the dagger patterns differ and so
@@ -125,29 +126,20 @@ def oto_correlator_exact(element, spec: OtoSpec) -> complex:
     return paulialg.trace_product(factors) / 2**spec.n
 
 
+def _element_correlator(element, spec: OtoSpec) -> complex:
+    """One element's correlator: exact for Pauli and Clifford, dense otherwise."""
+    if isinstance(element, (PauliString, CliffordTableau)):
+        return oto_correlator_exact(element, spec)
+    return oto_correlator(element_to_matrix(element), spec)
+
+
 def oto_ensemble_average(ens: Ensemble, spec: OtoSpec,
                          mc_samples: int | None = None,
                          seed: int | None = None) -> Estimate:
     """Ensemble-averaged correlator: exact weighted sum for discrete
     ensembles, Monte-Carlo mean with standard error for samplers."""
-    if ens.kind == "discrete":
-        total = 0j
-        for w, el in zip(ens.weights, ens.elements):
-            if isinstance(el, (PauliString, CliffordTableau)):
-                total += w * oto_correlator_exact(el, spec)
-            else:
-                total += w * oto_correlator(element_to_matrix(el), spec)
-        return Estimate(total, 0.0, len(ens.elements), method="exact")
-    if mc_samples is None or mc_samples < 2:
-        raise ValueError("sampler ensembles need mc_samples >= 2")
-    seed = ens.resolve_seed(seed)
-    vals = np.empty(mc_samples, dtype=complex)
-    for i, el in enumerate(ens.sample_block(seed, mc_samples)):
-        vals[i] = oto_correlator(element_to_matrix(el), spec)
-    mean = vals.mean()
-    var = vals.real.var(ddof=1) + vals.imag.var(ddof=1)
-    return Estimate(complex(mean), float(np.sqrt(var / mc_samples)), mc_samples,
-                    seed=seed, method="monte-carlo")
+    return ens.average(lambda el: _element_correlator(el, spec),
+                       mc_samples=mc_samples, seed=seed)
 
 
 def regulated_oto(rho: np.ndarray, u: np.ndarray, spec: OtoSpec) -> complex:
@@ -315,7 +307,6 @@ def channel_coefficients_direct(ens: Ensemble, b_ops, k: int,
 
     b_ops = tuple(b_ops)
     n = b_ops[0].n
-    d = 2**n
     big = pauli_to_dense(b_ops[0])
     for b in b_ops[1:]:
         big = np.kron(big, pauli_to_dense(b))

@@ -1,5 +1,6 @@
 """CLI tests: reports, determinism, exit codes, the verify battery."""
 
+import hashlib
 import json
 import math
 
@@ -89,6 +90,18 @@ class TestFramepotCommand:
                                   "--depth", "0", "--k", "1", "--samples", "20", "--seed", "1")
         assert "depth >= 1" in err
 
+    @pytest.mark.parametrize("seed", [(), ("--seed", "3")])
+    def test_discrete_without_exact_prints_the_exact_report(self, capsys, seed):
+        argv = ("framepot", "--ensemble", "pauli", "--n", "1", "--k", "2", *seed)
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert (code, out) == run(capsys, *argv, "--exact")
+
+    def test_exact_needs_a_discrete_ensemble(self, capsys):
+        err = assert_config_error(capsys, "framepot", "--ensemble", "haar", "--n", "1",
+                                  "--k", "1", "--exact")
+        assert "discrete ensemble" in err
+
     def test_reports_are_byte_identical(self, capsys):
         argv = ("framepot", "--ensemble", "haar", "--n", "1", "--k", "1",
                 "--samples", "500", "--seed", "42")
@@ -118,6 +131,22 @@ class TestOtoCommand:
         err = assert_config_error(capsys, "oto", "--ensemble", "haar", "--n", "1",
                                   "--samples", "1", "--seed", "1")
         assert "mc_samples >= 2" in err
+
+    def test_clifford_draws_are_evaluated_exactly(self, capsys):
+        # the dense-synthesis route printed -0.10999999999999986 for these draws
+        code, out = run(capsys, "oto", "--ensemble", "clifford", "--n", "2",
+                        "--samples", "200", "--seed", "1")
+        assert code == 0
+        report = json.loads(out)
+        assert report["method"] == "monte-carlo"
+        assert abs(report["value"] - -0.10999999999999986) <= 1e-12
+
+    def test_clifford_draws_beyond_the_dense_guard(self, capsys):
+        # n=6 is past cliffordgrp's n <= 5 dense synthesis guard
+        code, out = run(capsys, "oto", "--ensemble", "clifford", "--n", "6",
+                        "--samples", "20", "--seed", "1")
+        assert code == 0
+        assert json.loads(out)["n_samples"] == 20
 
     def test_commutator8_needs_two_qubits(self, capsys):
         code, _ = run(capsys, "oto", "--ensemble", "haar", "--n", "1",
@@ -183,6 +212,14 @@ class TestTimeavgCommand:
                         "--t-max", "50", "--n-grid", "1024")
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(256.0)
+
+    def test_converged_diagnostic_is_zero(self, capsys):
+        # a degenerate spectrum converges exactly: 0.0, not a 5e-324 marker
+        code, out = run(capsys, "timeavg", "--spectrum", "0,0,0,0", "--k", "2",
+                        "--n-grid", "1024")
+        assert code == 0
+        report = json.loads(out)
+        assert report["std_error"] == report["convergence_diagnostic"] == 0.0
 
     def test_incommensurate_check_passes(self, capsys):
         code, out = run(capsys, "timeavg", "--spectrum", "0,1,1.4142135,3.14159",
@@ -256,3 +293,27 @@ class TestVerifyCommand:
 
     def test_bad_config_exit_code(self, capsys):
         assert cli.main(["framepot", "--ensemble", "nope", "--n", "1", "--k", "1"]) == 2
+
+
+class TestGoldenReports:
+    """sha256 of report bytes recorded before the ensemble averages were
+    merged into Ensemble.average: every seeded report stays byte-identical."""
+
+    @pytest.mark.parametrize("argv,sha256", [
+        ("framepot --ensemble haar --n 2 --k 2 --samples 2000 --seed 1",
+         "f8c27f8e8a1634955acf575bdf96c7882e96c573c97c48d87430c74f401593a3"),
+        ("framepot --ensemble clifford --n 3 --k 2 --samples 200 --seed 2",
+         "04ad4fa31b0fc6008d383ada72946222ac0a690346a419c788a81d2bb923e92f"),
+        ("framepot --ensemble clifford --n 1 --k 3 --exact",
+         "6620a68edcf80690b21c06e21067caf1a11de59e3ec7c5ee78b04cfea0cb6e09"),
+        ("oto --ensemble haar --n 2 --kind commutator8 --samples 500 --seed 7",
+         "65f73af96d4d22b37f2609d70a961002d52ba3cd73e9641f32a8513a1af9023a"),
+        ("oto --ensemble pauli --n 2 --kind oto4",
+         "e4e0515e6898d80f03d6e275d4cef0d18df1a4d468335e2f32d53660c4f81fdb"),
+        ("thermal --n 1 --beta 4 --t 0 --k 1 --samples 500 --seed 3",
+         "80bfcafa20ec812cb050f4874ee26fd91bb7c3b53d573ef183673e3ec78c87da"),
+    ])
+    def test_report_bytes(self, capsys, argv, sha256):
+        code, out = run(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256

@@ -1,6 +1,7 @@
 """Tests for dense sampling, tensor algebra, channels and ensembles."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -234,6 +235,76 @@ class TestKfoldChannel:
         ens = dm.haar_ensemble(2, seed=1)
         with pytest.raises(ValueError):
             dm.kfold_channel_apply(ens, np.eye(4), 2)  # sampler without budget
+
+    def test_std_error_is_the_unbiased_spread(self):
+        n = 50
+        ens = dm.haar_ensemble(2, seed=1)
+        a = np.diag([1.0, -1.0]) + 0.5j * np.ones((2, 2))
+        res = dm.kfold_channel_apply(ens, a, 1, mc_samples=n)
+        terms = np.stack([u.conj().T @ a @ u for u in ens.sample_block(1, n)])
+        np.testing.assert_allclose(res.matrix, terms.mean(axis=0), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(res.std_error, terms.std(axis=0, ddof=1) / np.sqrt(n),
+                                   rtol=0, atol=1e-12)
+
+
+class TestEnsembleAverage:
+    def test_discrete_weighted_sums(self):
+        mats = tuple(dm.haar_unitary(2, np.random.default_rng(s)) for s in range(3))
+        weights = (0.5, 0.3, 0.2)
+        ens = dm.Ensemble("three", 2, weights=weights, elements=mats)
+        f = lambda u: complex(np.trace(u))
+        single = ens.average(f)
+        expect = 0j
+        for w, u in zip(weights, mats):
+            expect += w * f(u)
+        assert (single.value, single.n_samples, single.method) == (expect, 3, "exact")
+        g = lambda u, v: abs(np.trace(u.conj().T @ v)) ** 2
+        pairs = ens.average(g, pairs=True)
+        expect = 0.0
+        for wu, u in zip(weights, mats):  # i-major, (w_i * w_j) * f
+            for wv, v in zip(weights, mats):
+                expect += (wu * wv) * g(u, v)
+        assert (pairs.value, pairs.n_samples, pairs.std_error) == (expect, 9, 0.0)
+
+    def test_sampler_pairs_are_consecutive_draws(self):
+        ens = dm.haar_ensemble(2, seed=4)
+        g = lambda u, v: abs(np.trace(u.conj().T @ v)) ** 2
+        est = ens.average(g, pairs=True, mc_samples=30)
+        draws = ens.sample_block(4, 60)
+        vals = np.array([g(draws[2 * i], draws[2 * i + 1]) for i in range(30)])
+        assert est.value == float(vals.mean())
+        assert est.std_error == float(vals.std(ddof=1) / math.sqrt(30))
+        assert (est.n_samples, est.seed, est.method) == (30, 4, "monte-carlo")
+
+    def test_mc_estimate_error_bars(self):
+        rng = np.random.default_rng(5)
+        re, im = rng.normal(size=40), rng.normal(size=40)
+        real = dm.mc_estimate(re, 1)
+        assert real.value == float(re.mean())
+        assert real.std_error == float(re.std(ddof=1) / math.sqrt(40))
+        cplx = dm.mc_estimate(re + 1j * im, 1)
+        assert cplx.value == complex((re + 1j * im).mean())
+        assert cplx.std_error == math.sqrt((re.var(ddof=1) + im.var(ddof=1)) / 40)
+
+
+class TestMonteCarloGuard:
+    # one draw has no spread: kfold_channel_apply used to report a std error of 0
+    ESTIMATORS = {
+        "oto_ensemble_average": lambda ens: otolab.oto_ensemble_average(
+            ens, OtoSpec((Z, Z), (Z, Z)), mc_samples=1),
+        "frame_potential_mc": lambda ens: fp.frame_potential_mc(ens, 1, 1),
+        "generalized_F": lambda ens: fp.generalized_F(ens, np.eye(2) / 2, 1, mc_samples=1),
+        "generalized_G": lambda ens: fp.generalized_G(ens, np.eye(2) / 2, 1, mc_samples=1),
+        "kfold_channel_apply": lambda ens: dm.kfold_channel_apply(
+            ens, np.diag([1, -1]), 1, mc_samples=1),
+        "thermal_W": lambda ens: fp.thermal_W(lambda rng: dm.gue_hamiltonian(2, rng),
+                                              0.0, 0.0, 1, 1, seed=1),
+    }
+
+    @pytest.mark.parametrize("name", list(ESTIMATORS))
+    def test_one_sample_is_rejected(self, name):
+        with pytest.raises(ValueError, match="mc_samples >= 2"):
+            self.ESTIMATORS[name](dm.haar_ensemble(2, seed=1))
 
 
 class TestHaarChannelReference:

@@ -117,6 +117,11 @@ class TestFramePotentialMC:
         assert moments[4] == 29.0
         assert moments[4] > float(wg.haar_frame_potential_exact(4, 4))
 
+    def test_discrete_ensemble_gives_exact_sum(self):
+        # no seed and no pair budget: a list is summed exactly
+        ens = dm.pauli_ensemble(1)
+        assert fp.frame_potential_mc(ens, 2, 1) == fp.frame_potential_exact(ens, 2)
+
     def test_reproducible(self):
         ens = dm.haar_ensemble(2, seed=None)
         a = fp.frame_potential_mc(ens, 1, 500, seed=9)
