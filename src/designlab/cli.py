@@ -321,7 +321,7 @@ def cmd_thermal(args) -> int:
     est = fp.thermal_W(sampler, args.beta, args.t, args.k, args.samples, seed)
     report = {
         "estimator": "thermal_frame_potential", "k": args.k, "d": d,
-        "beta": args.beta, "t": args.t, "seed": args.seed,
+        "beta": args.beta, "t": args.t, "seed": seed,
         "value": est.value, "std_error": est.std_error,
         "n_samples": est.n_samples,
         "cardinality_bound": 1.0 / est.value if est.value > 0 else None,

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import paulialg, wg
-from .cliffordgrp import CliffordTableau, compose, inverse, trace_sq
+from .cliffordgrp import CliffordTableau, trace_sq
 from .densemat import Ensemble, check_mc_samples, check_state, element_to_matrix, mc_estimate
 from .estimate import Estimate
 from .otolab import OtoSpec, oto_ensemble_average
@@ -36,7 +36,7 @@ def _pair_abs_trace_sq(a, b) -> float:
         re, im = paulialg.trace_product_int([a.adjoint(), b])
         return float(re * re + im * im)
     if isinstance(a, CliffordTableau) and isinstance(b, CliffordTableau):
-        return float(trace_sq(compose(inverse(a), b)))
+        return float(trace_sq(b, a))
     ma, mb = element_to_matrix(a), element_to_matrix(b)
     return abs(np.trace(ma.conj().T @ mb)) ** 2
 

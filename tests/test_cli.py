@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import time
 
 import pytest
 
@@ -101,6 +102,27 @@ class TestFramepotCommand:
         err = assert_config_error(capsys, "framepot", "--ensemble", "haar", "--n", "1",
                                   "--k", "1", "--exact")
         assert "discrete ensemble" in err
+
+    @pytest.mark.parametrize("n", ["9", "20"])
+    def test_clifford_beyond_the_enumeration_guard(self, capsys, n):
+        # n=9 is past paulialg.MAX_ENUM_QUBITS, which no pair trace may need
+        code, out = run(capsys, "framepot", "--ensemble", "clifford", "--n", n,
+                        "--k", "1", "--samples", "100", "--seed", "1")
+        assert code == 0
+        report = json.loads(out)
+        assert abs(report["value"] - 1.0) <= 5 * report["std_error"]
+
+    def test_clifford_n5_runs_fast(self, capsys):
+        # best of three runs, so a busy host does not fail the bound
+        argv = ("framepot", "--ensemble", "clifford", "--n", "5", "--k", "1",
+                "--samples", "100", "--seed", "1")
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            code, _ = run(capsys, *argv)
+            best = min(best, time.perf_counter() - start)
+            assert code == 0
+        assert best < 0.5
 
     def test_reports_are_byte_identical(self, capsys):
         argv = ("framepot", "--ensemble", "haar", "--n", "1", "--k", "1",
@@ -240,6 +262,13 @@ class TestThermalCommand:
         assert report["value"] < 1.0
         assert report["cardinality_bound"] > 1.0
 
+    def test_default_seed_is_reported(self, capsys):
+        argv = ("thermal", "--n", "1", "--t", "1", "--samples", "10")
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["seed"] == 0
+        assert (code, out) == run(capsys, *argv, "--seed", "0")
+
     def test_one_sample_is_a_config_error(self, capsys):
         err = assert_config_error(capsys, "thermal", "--n", "1", "--samples", "1")
         assert "mc_samples >= 2" in err
@@ -296,8 +325,10 @@ class TestVerifyCommand:
 
 
 class TestGoldenReports:
-    """sha256 of report bytes recorded before the ensemble averages were
-    merged into Ensemble.average: every seeded report stays byte-identical."""
+    """sha256 of report bytes recorded at earlier commits: the first six
+    before the ensemble averages were merged into Ensemble.average, the last
+    two before Clifford pair traces moved to the GF(2) kernel. Every seeded
+    report stays byte-identical."""
 
     @pytest.mark.parametrize("argv,sha256", [
         ("framepot --ensemble haar --n 2 --k 2 --samples 2000 --seed 1",
@@ -312,6 +343,10 @@ class TestGoldenReports:
          "e4e0515e6898d80f03d6e275d4cef0d18df1a4d468335e2f32d53660c4f81fdb"),
         ("thermal --n 1 --beta 4 --t 0 --k 1 --samples 500 --seed 3",
          "80bfcafa20ec812cb050f4874ee26fd91bb7c3b53d573ef183673e3ec78c87da"),
+        ("framepot --ensemble clifford --n 5 --k 1 --samples 20 --seed 11",
+         "a66ca73206ae44b8516c826f866a116ae52b67653b2d012a2eb01e7b213a73ff"),
+        ("verify --suite full",
+         "9ae47be034ce59186abb22c6ce458154c0bfbcfe0e72eb5697f107009c34ad63"),
     ])
     def test_report_bytes(self, capsys, argv, sha256):
         code, out = run(capsys, *argv.split())

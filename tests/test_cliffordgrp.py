@@ -20,6 +20,22 @@ def conj_dense(u, m):
     return u.conj().T @ m @ u
 
 
+def enumerated_trace_sq(c: cg.CliffordTableau) -> int:
+    """|tr C|^2 as an exact integer: the number of representative Paulis
+    fixed by conjugation with a + sign minus those fixed with a - sign."""
+    total = 0
+    for p in paulialg.enumerate_paulis(c.n):
+        img = cg.conjugate_pauli(c, p)
+        if img.representative() == p:
+            total += 1 if img.phase == 0 else -1
+    return total
+
+
+def composed_trace_sq(a, b) -> int:
+    """|tr(A^dag B)|^2 through the inverse, the product and the 4^n walk."""
+    return enumerated_trace_sq(cg.compose(cg.inverse(a), b))
+
+
 # Property tests draw the same cases on every run (derandomize) and keep no
 # example database, so tier-1 stays deterministic.
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
@@ -29,6 +45,13 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None)
 def cliffords(draw, max_n=3):
     n = draw(st.integers(1, max_n))
     return cg.random_clifford(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+
+
+@st.composite
+def clifford_pairs(draw, max_n=3):
+    n = draw(st.integers(1, max_n))
+    seeds = draw(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)))
+    return tuple(cg.random_clifford(n, np.random.default_rng(s)) for s in seeds)
 
 
 @st.composite
@@ -52,6 +75,63 @@ class TestDenseProperties:
     @given(cliffords())
     def test_trace_sq(self, c):
         assert cg.trace_sq(c) == pytest.approx(abs(np.trace(cg.to_dense(c))) ** 2, abs=1e-8)
+
+    @PROPERTY
+    @given(clifford_pairs())
+    def test_pair_trace_sq(self, pair):
+        a, b = pair
+        dense = abs(np.trace(cg.to_dense(a).conj().T @ cg.to_dense(b))) ** 2
+        assert cg.trace_sq(b, a) == pytest.approx(dense, abs=1e-8)
+
+
+class TestTraceSq:
+    """The GF(2) kernel against the 4^n walk over the Paulis."""
+
+    def test_single_qubit_matches_enumeration(self):
+        for c in cg.enumerate_single_qubit():
+            assert cg.trace_sq(c) == enumerated_trace_sq(c)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_random_matches_enumeration(self, n):
+        rng = np.random.default_rng(40 + n)
+        for _ in range(200):
+            c = cg.random_clifford(n, rng)
+            assert cg.trace_sq(c) == enumerated_trace_sq(c)
+
+    def test_single_qubit_pairs(self):
+        els = cg.enumerate_single_qubit()
+        for a in els:
+            for b in els:
+                assert cg.trace_sq(b, a) == composed_trace_sq(a, b)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_random_pairs(self, n):
+        rng = np.random.default_rng(50 + n)
+        for _ in range(50):
+            a, b = cg.random_clifford(n, rng), cg.random_clifford(n, rng)
+            assert cg.trace_sq(b, a) == composed_trace_sq(a, b)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_pauli_multiples(self, n):
+        # b = a P shares a's bits, so the kernel is everything and only the
+        # signs decide: |tr P|^2 is 4^n for P = I and 0 otherwise
+        rng = np.random.default_rng(60 + n)
+        paulis = [paulialg.identity(n)]
+        paulis += [paulialg.random_pauli(n, rng, exclude_identity=True) for _ in range(30)]
+        for p in paulis:
+            a = cg.random_clifford(n, rng)
+            b = cg.compose(a, cg.pauli_tableau(p))
+            assert cg.trace_sq(b, a) == composed_trace_sq(a, b)
+            assert cg.trace_sq(b, a) == (4**n if p.is_identity_bits else 0)
+
+    @pytest.mark.parametrize("n", [1, 5, 20])
+    def test_self_pair_is_d_squared(self, n):
+        a = cg.random_clifford(n, np.random.default_rng(n))
+        assert cg.trace_sq(a, a) == 4**n
+
+    def test_qubit_count_mismatch(self):
+        with pytest.raises(ValueError):
+            cg.trace_sq(cg.identity_tableau(2), cg.identity_tableau(1))
 
 
 class TestConjugatePauli:
