@@ -317,7 +317,7 @@ def cmd_timeavg(args) -> int:
 def cmd_thermal(args) -> int:
     d = 2**args.n
     seed = args.seed if args.seed is not None else 0
-    sampler = lambda rng: dm.gue_hamiltonian(d, rng)
+    sampler = lambda rng, size: dm.gue_hamiltonian(d, rng, size)
     est = fp.thermal_W(sampler, args.beta, args.t, args.k, args.samples, seed)
     report = {
         "estimator": "thermal_frame_potential", "k": args.k, "d": d,
@@ -553,9 +553,10 @@ def main(argv=None) -> int:
         # numpy overflow raises here rather than warn and carry an infinity on
         with np.errstate(over="raise"):
             return args.func(args)
-    except (NonFiniteReport, ValueError, OSError, KeyError) as exc:
+    except (NonFiniteReport, scrambling.IdentityViolated, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED if isinstance(exc, NonFiniteReport) else EXIT_CONFIG
+        failed = isinstance(exc, (NonFiniteReport, scrambling.IdentityViolated))
+        return EXIT_CHECK_FAILED if failed else EXIT_CONFIG
     except (OverflowError, FloatingPointError) as exc:
         # a result beyond the float range failed like a NaN report does
         print(f"error: result out of float range: {exc.args[-1]}", file=sys.stderr)

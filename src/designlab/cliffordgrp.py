@@ -254,12 +254,13 @@ def enumerate_single_qubit() -> list[CliffordTableau]:
 
 def clifford_ensemble(n: int, seed: int | None = None) -> Ensemble:
     """Uniform Clifford ensemble: the exact 24-element list at n=1, a
-    uniform sampler for larger n."""
+    uniform sampler for larger n, whose draws are lists of tableaux."""
     if n == 1:
         els = tuple(enumerate_single_qubit())
         w = (1.0 / len(els),) * len(els)
         return Ensemble("clifford", 2, weights=w, elements=els)
-    return Ensemble("clifford", 2**n, sampler=lambda rng: random_clifford(n, rng),
+    return Ensemble("clifford", 2**n,
+                    sampler=lambda rng, size: [random_clifford(n, rng) for _ in range(size)],
                     seed=seed, params={"n": n})
 
 

@@ -8,6 +8,17 @@ unitaries are arrays validated by `check_unitary` at construction sites.
 All samplers are reproducible: identical seeds give bitwise-identical
 outputs, and Monte-Carlo block streams derive from (seed, block index) so
 loops can fan out across workers without changing results.
+
+Draws come in stacks. `haar_unitary` and `gue_hamiltonian` take a numpy-style
+`size` and return a (*size, d, d) stack from one `rng.normal` call; a stack
+is bit for bit the sequence of one-at-a-time draws from the same generator,
+and leaves the generator in the same state. An ensemble sampler is
+`sampler(rng, size) -> size draws`: a (size, d, d) stack for dense
+ensembles, a list for Clifford tableaux. `Ensemble.average` streams one
+generator in chunks of MC_CHUNK draws and evaluates its integrand on each
+chunk, keeping only the values, so a Monte-Carlo average holds at most
+MC_CHUNK draws (MC_CHUNK d^2 complex numbers) and their integrand's
+temporaries at a time, whatever the sample count.
 """
 
 from __future__ import annotations
@@ -26,13 +37,25 @@ from .paulialg import PauliString
 
 DENSE_GUARD = 4096  # largest matrix side constructed anywhere
 UNITARY_TOL = 1e-10
+MC_CHUNK = 64  # draws per chunk of a streamed average; even, so chunks hold whole pairs
+
+
+def dagger(u: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a (..., d, d) stack."""
+    return np.conj(u).swapaxes(-1, -2)
+
+
+def trace(m: np.ndarray):
+    """Trace over the last two axes: a scalar for a matrix, an array for a stack."""
+    return np.trace(m, axis1=-2, axis2=-1)
 
 
 def check_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
+    """A unitary, or a (..., d, d) stack of them, checked in one pass."""
     u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+    if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
         raise ValueError("unitary must be a square matrix")
-    err = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
+    err = np.max(np.abs(dagger(u) @ u - np.eye(u.shape[-1])))
     if err > tol:
         raise ValueError(f"matrix is not unitary: ||U^dag U - I||_max = {err:.2e}")
     return u
@@ -40,7 +63,7 @@ def check_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
 
 def check_hermitian(h: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
     h = np.asarray(h, dtype=complex)
-    if np.max(np.abs(h - h.conj().T)) > tol:
+    if np.max(np.abs(h - dagger(h))) > tol:
         raise ValueError("matrix is not Hermitian")
     return h
 
@@ -97,37 +120,53 @@ def pauli_to_dense(p: PauliString) -> np.ndarray:
 # sampling
 # ---------------------------------------------------------------------------
 
-def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random d x d unitary: QR of a complex Ginibre matrix with the
-    R-diagonal phases folded into Q so the distribution is exactly Haar."""
+def _shape(size) -> tuple[int, ...]:
+    return (size,) if isinstance(size, (int, np.integer)) else tuple(size)
+
+
+def _ginibre_qr(d: int, rng: np.random.Generator, shape: tuple[int, ...]):
+    z = rng.normal(size=shape + (2, d, d))  # per draw: d x d real parts, then imaginary
+    q, r = np.linalg.qr(z[..., 0, :, :] + 1j * z[..., 1, :, :])
+    return q, np.diagonal(r, axis1=-2, axis2=-1)
+
+
+def haar_unitary(d: int, rng: np.random.Generator, size=()) -> np.ndarray:
+    """Haar-random d x d unitary, or a (*size, d, d) stack of them: QR of a
+    complex Ginibre matrix with the R-diagonal phases folded into Q so the
+    distribution is exactly Haar (Mezzadri, math-ph/0609050)."""
     if d < 1:
         raise ValueError("d must be positive")
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(g)
-    diag = np.diagonal(r)
+    shape = _shape(size)
+    state = rng.bit_generator.state if shape else None
+    q, diag = _ginibre_qr(d, rng, shape)
     # numerical rank deficiency of a Ginibre draw has probability zero;
     # redraw rather than divide by ~0
-    while np.any(np.abs(diag) < 1e-12):
-        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        q, r = np.linalg.qr(g)
-        diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+    if np.any(np.abs(diag) < 1e-12):
+        if shape:  # replay one draw at a time, so only the bad draw is redrawn
+            rng.bit_generator.state = state
+            draws = [haar_unitary(d, rng) for _ in range(math.prod(shape))]
+            return np.reshape(draws, shape + (d, d))
+        while np.any(np.abs(diag) < 1e-12):
+            q, diag = _ginibre_qr(d, rng, shape)
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
-def gue_hamiltonian(d: int, rng: np.random.Generator) -> np.ndarray:
-    """GUE draw, Hermitian by construction, normalized so E[tr H^2] = d."""
+def gue_hamiltonian(d: int, rng: np.random.Generator, size=()) -> np.ndarray:
+    """GUE draw, or a (*size, d, d) stack of them, Hermitian by construction,
+    normalized so E[tr H^2] = d."""
     if d < 1:
         raise ValueError("d must be positive")
-    g = rng.normal(size=(d, d)) / np.sqrt(2) + 1j * rng.normal(size=(d, d)) / np.sqrt(2)
-    h = (g + g.conj().T) / 2
+    z = rng.normal(size=_shape(size) + (2, d, d))
+    g = z[..., 0, :, :] / np.sqrt(2) + 1j * z[..., 1, :, :] / np.sqrt(2)
+    h = (g + dagger(g)) / 2
     return h * math.sqrt(2.0 / d)
 
 
 def evolve(h: np.ndarray, t: float) -> np.ndarray:
-    """U = exp(-i H t) by Hermitian eigendecomposition."""
+    """U = exp(-i H t) by Hermitian eigendecomposition, for a matrix or a stack."""
     h = check_hermitian(h)
     evals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(-1j * evals * t)) @ vecs.conj().T
+    return (vecs * np.exp(-1j * evals * t)[..., None, :]) @ dagger(vecs)
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +215,12 @@ def permutation_operator(perm: tuple[int, ...], d: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def element_to_matrix(el: Any) -> np.ndarray:
-    """Dense matrix of an ensemble element (array, Pauli, or tableau-like)."""
+    """Dense matrix of an ensemble element (array, Pauli, or tableau-like),
+    or the (c, d, d) stack of a list of them."""
     if isinstance(el, np.ndarray):
         return el
+    if isinstance(el, list):
+        return np.stack([element_to_matrix(x) for x in el])
     if isinstance(el, PauliString):
         return pauli_to_dense(el)
     if hasattr(el, "dense"):
@@ -192,15 +234,16 @@ class Ensemble:
 
     Discrete: `weights` (nonnegative, summing to 1 within 1e-12) paired with
     `elements` (dense arrays, PauliStrings or Clifford tableaux).
-    Sampler: `sampler(rng) -> element`; draws are deterministic given
-    (seed, block index) via `sample_block`.
+    Sampler: `sampler(rng, size)` returns `size` draws, a (size, d, d) stack
+    or a list; stacked draws equal one-at-a-time draws from the same
+    generator. Draws are deterministic given (seed, block index).
     """
 
     label: str
     dim: int
     weights: tuple[float, ...] | None = None
     elements: tuple[Any, ...] | None = None
-    sampler: Callable[[np.random.Generator], Any] | None = None
+    sampler: Callable[[np.random.Generator, int], Any] | None = None
     seed: int | None = None
     params: dict = field(default_factory=dict)
 
@@ -221,19 +264,32 @@ class Ensemble:
     def kind(self) -> str:
         return "discrete" if self.elements is not None else "sampler"
 
-    def sample_block(self, seed: int, count: int, block: int = 0) -> list:
-        """Deterministic block of draws from (seed, block)."""
+    def sample_block(self, seed: int, count: int, block: int = 0):
+        """Deterministic block of `count` draws from (seed, block), in one
+        sampler call."""
         if self.sampler is None:
             raise ValueError("sample_block is only for sampler ensembles")
-        rng = np.random.default_rng([seed, block])
-        return [self.sampler(rng) for _ in range(count)]
+        return self.sampler(np.random.default_rng([seed, block]), count)
+
+    def stream(self, seed: int, count: int):
+        """The draws of block (seed, 0) in chunks of at most MC_CHUNK: the
+        same draws as sample_block(seed, count), never all held at once."""
+        rng = np.random.default_rng([seed, 0])
+        for lo in range(0, count, MC_CHUNK):
+            yield self.sampler(rng, min(MC_CHUNK, count - lo))
 
     def average(self, f: Callable, *, pairs: bool = False,
                 mc_samples: int | None = None, seed: int | None = None) -> Estimate:
         """Ensemble average of f(element), or of f(a, b) over ordered pairs
-        when pairs=True: the exact weighted sum for discrete ensembles (pair
-        weights w_i * w_j, i-major), else `mc_estimate` of mc_samples values
-        from one block, pair i being draws 2i and 2i+1. f may return arrays."""
+        when pairs=True.
+
+        Discrete ensembles give the exact weighted sum (pair weights
+        w_i * w_j, i-major), calling f on one element (pair) at a time; f may
+        return arrays. Samplers give `mc_estimate` of mc_samples values: f is
+        called on each chunk of the stream (a stack or a list of draws, or
+        the chunk's even and odd draws for pairs, so pair i is draws 2i and
+        2i+1) and returns one value per draw (pair).
+        """
         if self.kind == "discrete":
             if pairs:
                 terms = ((wa * wb) * f(a, b) for wa, a in zip(self.weights, self.elements)
@@ -247,12 +303,9 @@ class Ensemble:
             return Estimate(total, 0.0, n * n if pairs else n, method="exact")
         check_mc_samples(mc_samples)
         seed = self.resolve_seed(seed)
-        if pairs:
-            draws = self.sample_block(seed, 2 * mc_samples)
-            vals = [f(draws[2 * i], draws[2 * i + 1]) for i in range(mc_samples)]
-        else:
-            vals = [f(el) for el in self.sample_block(seed, mc_samples)]
-        return mc_estimate(np.array(vals), seed)
+        chunks = self.stream(seed, 2 * mc_samples if pairs else mc_samples)
+        vals = [f(c[0::2], c[1::2]) if pairs else f(c) for c in chunks]
+        return mc_estimate(np.concatenate(vals), seed)
 
     def resolve_seed(self, seed: int | None) -> int:
         if seed is not None:
@@ -284,14 +337,14 @@ def pauli_x_ensemble(n: int) -> Ensemble:
 
 
 def haar_ensemble(d: int, seed: int | None = None) -> Ensemble:
-    return Ensemble("haar", d, sampler=lambda rng: haar_unitary(d, rng), seed=seed,
-                    params={"d": d})
+    return Ensemble("haar", d, sampler=lambda rng, size: haar_unitary(d, rng, size),
+                    seed=seed, params={"d": d})
 
 
 def gue_evolution_ensemble(d: int, t: float, seed: int | None = None) -> Ensemble:
     """Evolution for a fixed time t under independently drawn GUE Hamiltonians."""
-    def draw(rng):
-        return evolve(gue_hamiltonian(d, rng), t)
+    def draw(rng, size):
+        return evolve(gue_hamiltonian(d, rng, size), t)
     return Ensemble("gue-evolution", d, sampler=draw, seed=seed, params={"d": d, "t": t})
 
 
@@ -300,9 +353,9 @@ def hamiltonian_evolution_ensemble(h: np.ndarray, t_max: float, seed: int | None
     h = check_hermitian(h)
     evals, vecs = np.linalg.eigh(h)
 
-    def draw(rng):
-        t = rng.uniform(0.0, t_max)
-        return (vecs * np.exp(-1j * evals * t)) @ vecs.conj().T
+    def draw(rng, size):
+        t = rng.uniform(0.0, t_max, size)
+        return (vecs * np.exp(-1j * evals * t[:, None])[:, None, :]) @ dagger(vecs)
 
     return Ensemble("hamiltonian-evolution", h.shape[0], sampler=draw, seed=seed,
                     params={"d": h.shape[0], "t_max": t_max})
@@ -313,6 +366,7 @@ def brickwork_ensemble(n: int, depth: int, seed: int | None = None) -> Ensemble:
     nearest-neighbour pairings (open boundary), each layer made of fresh
     independent Haar 2-qubit gates. The gate arrangement is a modeling
     choice; nothing here depends on it beyond nearest-neighbour locality.
+    Circuits are assembled one at a time and stacked.
     """
     if n < 2:
         raise ValueError("brickwork needs at least 2 qubits")
@@ -320,7 +374,7 @@ def brickwork_ensemble(n: int, depth: int, seed: int | None = None) -> Ensemble:
         raise ValueError(f"brickwork needs depth >= 1, got depth={depth}")
     d = 2**n
 
-    def draw(rng):
+    def circuit(rng):
         u = np.eye(d, dtype=complex)
         for layer in range(depth):
             start = 0 if layer % 2 == 0 else 1
@@ -332,8 +386,8 @@ def brickwork_ensemble(n: int, depth: int, seed: int | None = None) -> Ensemble:
             u = layer_u @ u
         return u
 
-    return Ensemble("brickwork", d, sampler=draw, seed=seed,
-                    params={"n": n, "depth": depth})
+    return Ensemble("brickwork", d, sampler=lambda rng, size: np.stack(
+        [circuit(rng) for _ in range(size)]), seed=seed, params={"n": n, "depth": depth})
 
 
 def _embed_two_qubit(g: np.ndarray, a: int, n: int) -> np.ndarray:
@@ -384,7 +438,7 @@ def kfold_channel_apply(ens: Ensemble, a: np.ndarray, k: int,
     seed = ens.resolve_seed(seed)
     acc = np.zeros_like(a)
     acc2 = np.zeros(a.shape)
-    for el in ens.sample_block(seed, n):
+    for el in itertools.chain.from_iterable(ens.stream(seed, n)):
         term = _kfold_conjugate(element_to_matrix(el), a, k)
         acc += term
         acc2 += np.abs(term) ** 2

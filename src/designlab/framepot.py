@@ -18,7 +18,8 @@ import numpy as np
 
 from . import paulialg, wg
 from .cliffordgrp import CliffordTableau, trace_sq
-from .densemat import Ensemble, check_mc_samples, check_state, element_to_matrix, mc_estimate
+from .densemat import (MC_CHUNK, Ensemble, check_mc_samples, check_state, dagger,
+                       element_to_matrix, mc_estimate, trace)
 from .estimate import Estimate
 from .otolab import OtoSpec, oto_ensemble_average
 from .paulialg import PauliString
@@ -30,15 +31,27 @@ TAU_CHUNK = 8192  # tau values per block of the time average: bounds memory at T
 # plain frame potentials
 # ---------------------------------------------------------------------------
 
-def _pair_abs_trace_sq(a, b) -> float:
-    """|tr(a^dag b)|^2 for ensemble elements; exact for Pauli/Clifford."""
+def _per_value(fn, *values):
+    """fn applied to each value of equally long arrays, one numpy scalar at a
+    time (np.abs or ** on a whole complex array can differ from the scalar
+    operations in the last bit), or to scalars as they are."""
+    if np.ndim(values[0]) == 0:
+        return fn(*values)
+    return np.array([fn(*vs) for vs in zip(*values)])
+
+
+def _pair_trace_power(a, b, k: int):
+    """|tr(a^dag b)|^(2k) for a pair of ensemble elements, or per pair of two
+    chunks of draws; exact for Pauli/Clifford, a stacked trace otherwise."""
+    if isinstance(a, list):
+        return np.array([_pair_trace_power(x, y, k) for x, y in zip(a, b)])
     if isinstance(a, PauliString) and isinstance(b, PauliString):
         re, im = paulialg.trace_product_int([a.adjoint(), b])
-        return float(re * re + im * im)
+        return float(re * re + im * im) ** k
     if isinstance(a, CliffordTableau) and isinstance(b, CliffordTableau):
-        return float(trace_sq(b, a))
+        return float(trace_sq(b, a)) ** k
     ma, mb = element_to_matrix(a), element_to_matrix(b)
-    return abs(np.trace(ma.conj().T @ mb)) ** 2
+    return _per_value(lambda t: (abs(t) ** 2) ** k, trace(dagger(ma) @ mb))
 
 
 def frame_potential_exact(ens: Ensemble, k: int) -> Estimate:
@@ -50,7 +63,7 @@ def frame_potential_exact(ens: Ensemble, k: int) -> Estimate:
     if ens.kind != "discrete":
         raise ValueError("exact frame potential needs a discrete ensemble; "
                          "use frame_potential_mc for samplers")
-    return ens.average(lambda a, b: _pair_abs_trace_sq(a, b) ** k, pairs=True)
+    return ens.average(lambda a, b: _pair_trace_power(a, b, k), pairs=True)
 
 
 def frame_potential_mc(ens: Ensemble, k: int, n_pairs: int,
@@ -58,7 +71,7 @@ def frame_potential_mc(ens: Ensemble, k: int, n_pairs: int,
     """Monte-Carlo frame potential: mean of |tr(U^dag V)|^(2k) over
     independent pairs, with the plug-in standard error. A discrete ensemble
     gives its exact double sum, as in frame_potential_exact."""
-    return ens.average(lambda a, b: _pair_abs_trace_sq(a, b) ** k, pairs=True,
+    return ens.average(lambda a, b: _pair_trace_power(a, b, k), pairs=True,
                        mc_samples=n_pairs, seed=seed)
 
 
@@ -151,14 +164,14 @@ def _generalized(ens, rho, k, variant, mc_samples, seed) -> Estimate:
     if ens.kind == "discrete":  # convert each element once, not once per pair
         ens = replace(ens, elements=tuple(map(element_to_matrix, ens.elements)))
 
-    def integrand(a, b) -> complex:
+    def integrand(a, b):
         u, v = element_to_matrix(a), element_to_matrix(b)
-        z1 = np.trace(root @ u @ v.conj().T)
+        z1 = trace(root @ u @ dagger(v))
         if variant == "F":
-            z2 = np.trace(root @ v @ u.conj().T)
+            z2 = trace(root @ v @ dagger(u))
         else:
-            z2 = np.trace(root @ u.conj().T @ v)
-        return (z1 * z2) ** k
+            z2 = trace(root @ dagger(u) @ v)
+        return _per_value(lambda x, y: (x * y) ** k, z1, z2)
 
     est = ens.average(integrand, pairs=True, mc_samples=mc_samples, seed=seed)
     # F is real: its two traces are complex conjugates
@@ -213,8 +226,10 @@ def thermal_W(h_sampler, beta: float, t: float, k: int, mc_samples: int,
         avg over (G, H) of |tr{e^(-(beta/2k - it)G) e^(-(beta/2k + it)H)}|^(2k)
                            / (tr e^(-beta G) tr e^(-beta H))
 
-    h_sampler(rng) draws a Hermitian matrix; always Monte Carlo. Each spectrum
-    is shifted to start at 0, which leaves the ratio as it is and keeps every
+    h_sampler(rng, size) draws a (size, d, d) stack of Hermitian matrices;
+    always Monte Carlo. Sample i is the pair (G, H) = draws (2i, 2i+1) of
+    one stream, drawn and diagonalized MC_CHUNK at a time. Each spectrum is
+    shifted to start at 0, which leaves the ratio as it is and keeps every
     exponential finite at large beta.
     """
     if beta < 0:
@@ -222,18 +237,20 @@ def thermal_W(h_sampler, beta: float, t: float, k: int, mc_samples: int,
     check_mc_samples(mc_samples)
     rng = np.random.default_rng([seed, 0])
     b = beta / (2 * k)
-    vals = np.empty(mc_samples)
-    for i in range(mc_samples):
-        g = h_sampler(rng)
-        h = h_sampler(rng)
-        eg, vg = np.linalg.eigh(g)
-        eh, vh = np.linalg.eigh(h)
-        mg = (vg * np.exp(-(b - 1j * t) * eg + b * eg.min())) @ vg.conj().T
-        mh = (vh * np.exp(-(b + 1j * t) * eh + b * eh.min())) @ vh.conj().T
-        num = abs(np.trace(mg @ mh)) ** (2 * k)
-        den = np.exp(-beta * (eg - eg.min())).sum() * np.exp(-beta * (eh - eh.min())).sum()
-        vals[i] = num / den
-    return mc_estimate(vals, seed)
+
+    def weighted(e, v, z):
+        low = e.min(axis=-1, keepdims=True)
+        m = (v * np.exp(-z * e + b * low)[..., None, :]) @ dagger(v)
+        return m, np.exp(-beta * (e - low)).sum(axis=-1)
+
+    vals = []
+    for lo in range(0, 2 * mc_samples, MC_CHUNK):
+        e, v = np.linalg.eigh(h_sampler(rng, min(MC_CHUNK, 2 * mc_samples - lo)))
+        mg, zg = weighted(e[0::2], v[0::2], b - 1j * t)
+        mh, zh = weighted(e[1::2], v[1::2], b + 1j * t)
+        num = _per_value(lambda x: abs(x) ** (2 * k), trace(mg @ mh))
+        vals.append(num / (zg * zh))
+    return mc_estimate(np.concatenate(vals), seed)
 
 
 # ---------------------------------------------------------------------------

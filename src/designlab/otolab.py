@@ -30,8 +30,8 @@ import numpy as np
 
 from . import paulialg, wg
 from .cliffordgrp import CliffordTableau, conjugate_pauli
-from .densemat import (DENSE_GUARD, Ensemble, check_state, check_unitary, element_to_matrix,
-                       pauli_to_dense)
+from .densemat import (DENSE_GUARD, Ensemble, check_state, check_unitary, dagger,
+                       element_to_matrix, pauli_to_dense, trace)
 from .estimate import Estimate
 from .paulialg import PauliString
 
@@ -92,19 +92,23 @@ class OtoSpec:
 # single-unitary correlators
 # ---------------------------------------------------------------------------
 
-def oto_correlator(u: np.ndarray, spec: OtoSpec) -> complex:
-    """(1/d) tr{A_1 U+ B_1 U ... } for a dense unitary."""
+def oto_correlator(u: np.ndarray, spec: OtoSpec):
+    """(1/d) tr{A_1 U+ B_1 U ... } for a dense unitary (a complex), or for
+    each unitary of a (..., d, d) stack (an array)."""
     u = check_unitary(u)
     d = 2**spec.n
-    if u.shape[0] != d:
+    if u.shape[-1] != d:
         raise ValueError("unitary dimension does not match the operators")
     if d > DENSE_GUARD:
         raise ValueError("dense guard exceeded")
     a_ops, b_ops = spec.expanded()
+    dense = {p: pauli_to_dense(p) for p in dict.fromkeys(a_ops + b_ops)}
+    u_dag = dagger(u)
     acc = np.eye(d, dtype=complex)
     for a, b in zip(a_ops, b_ops):
-        acc = acc @ pauli_to_dense(a) @ (u.conj().T @ pauli_to_dense(b) @ u)
-    return complex(np.trace(acc) / d)
+        acc = acc @ dense[a] @ (u_dag @ dense[b] @ u)
+    values = trace(acc) / d
+    return complex(values) if u.ndim == 2 else values
 
 
 def _conjugated_b(element, b: PauliString) -> PauliString:
@@ -126,8 +130,11 @@ def oto_correlator_exact(element, spec: OtoSpec) -> complex:
     return paulialg.trace_product(factors) / 2**spec.n
 
 
-def _element_correlator(element, spec: OtoSpec) -> complex:
-    """One element's correlator: exact for Pauli and Clifford, dense otherwise."""
+def _element_correlator(element, spec: OtoSpec):
+    """Correlators of one element, or one per draw of a chunk: exact for
+    Pauli and Clifford elements, dense (stacked) otherwise."""
+    if isinstance(element, list):
+        return np.array([_element_correlator(el, spec) for el in element])
     if isinstance(element, (PauliString, CliffordTableau)):
         return oto_correlator_exact(element, spec)
     return oto_correlator(element_to_matrix(element), spec)
@@ -314,18 +321,6 @@ def channel_coefficients_direct(ens: Ensemble, b_ops, k: int,
     return _expand_in_pauli_basis(res.matrix, n, k)
 
 
-def channel_coefficients_haar(b_ops, k: int) -> ChannelCoefficients:
-    """Same expansion for the exact Haar reference channel."""
-    from .densemat import haar_channel_reference
-
-    b_ops = tuple(b_ops)
-    n = b_ops[0].n
-    big = pauli_to_dense(b_ops[0])
-    for b in b_ops[1:]:
-        big = np.kron(big, pauli_to_dense(b))
-    return _expand_in_pauli_basis(haar_channel_reference(big, k, 2**n), n, k)
-
-
 def _expand_in_pauli_basis(mat: np.ndarray, n: int, k: int) -> ChannelCoefficients:
     d = 2**n
     gamma = {}
@@ -467,15 +462,3 @@ def _require_non_identity(paulis):
         if p.is_identity_bits:
             raise ValueError("operators must be non-identity Paulis")
 
-
-def four_point_haar_dense(a, b, c, d_op) -> complex:
-    """The general 4-point Haar formula for arbitrary dense operators."""
-    d = a.shape[0]
-
-    def ev(m):
-        return np.trace(m) / d
-
-    ac, bd = ev(a @ c), ev(b @ d_op)
-    ea, eb, ec, ed = ev(a), ev(b), ev(c), ev(d_op)
-    return complex(ac * eb * ed + ea * ec * bd - ea * ec * eb * ed
-                   - (ac - ea * ec) * (bd - eb * ed) / (d * d - 1))

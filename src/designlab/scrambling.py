@@ -24,6 +24,10 @@ from .densemat import check_state, check_unitary, partial_trace, pauli_to_dense
 from .paulialg import PauliString
 
 
+class IdentityViolated(Exception):
+    """Two sides of an identity that holds for every unitary disagree."""
+
+
 @dataclass(frozen=True)
 class ChoiState:
     """|U> as a state vector on 2n qubits (input register first)."""
@@ -192,8 +196,9 @@ def renyi_k_oto(u: np.ndarray, part: IoPartition, k: int) -> tuple[float, float]
 
 
 def mutual_info_2(u: np.ndarray, part: IoPartition) -> float:
-    """Renyi-2 mutual information I2(A:BD) from the Choi state; asserts the
-    equality with -log2 of the Pauli-averaged OTO correlator."""
+    """Renyi-2 mutual information I2(A:BD) from the Choi state; raises
+    IdentityViolated unless it equals -log2 of the Pauli-averaged OTO
+    correlator within 1e-10."""
     state = choi_state(u)
     s_a = renyi_entropy(_choi_marginal(state, part.a_qubits, ()), 2)
     s_bd = renyi_entropy(_choi_marginal(state, part.b_qubits, part.d_qubits), 2)
@@ -201,7 +206,7 @@ def mutual_info_2(u: np.ndarray, part: IoPartition) -> float:
     info = s_a + s_bd - s_abd
     lhs, _ = oto_renyi2_check(u, part)
     if abs(info - (-math.log2(lhs))) > 1e-10:
-        raise AssertionError(
+        raise IdentityViolated(
             f"Renyi-2 identity violated: I2 = {info}, -log2(avg) = {-math.log2(lhs)}")
     return float(info)
 

@@ -268,15 +268,3 @@ def haar_frame_potential_exact(k: int, d: int) -> Fraction:
         raise ValueError(f"partition guard exceeded: k={k} > {MAX_PARTITION_K} at d={d} > 2")
     return Fraction(sum(irrep_dimension(lam) ** 2 for lam in _partitions_in_rows(k, d, k)))
 
-
-def haar_state_kfold(k: int, d: int) -> np.ndarray:
-    """k-fold average of a Haar-random pure state: the symmetric-subspace
-    projector normalized by binom(k+d-1, k), as a dense matrix on d^k."""
-    if d**k > 4096:
-        raise ValueError("dense guard exceeded")
-    dim = d**k
-    acc = np.zeros((dim, dim))
-    for pi in permutations_of(k):
-        acc += permutation_matrix(pi, d)
-    sym = acc / math.factorial(k)
-    return sym / math.comb(k + d - 1, k)

@@ -225,6 +225,21 @@ class TestScrambleCommand:
         assert code == 0
         assert json.loads(out)["passed"] is True
 
+    def test_missed_renyi2_identity_is_a_failed_check(self, capsys, monkeypatch, tmp_path):
+        # the Pauli-averaged correlator is off by 1%, as a near-unitary input can make it
+        real = cli.scrambling.oto_renyi2_check
+        monkeypatch.setattr(cli.scrambling, "oto_renyi2_check",
+                            lambda u, part: (1.01 * real(u, part)[0], real(u, part)[1]))
+        path = tmp_path / "u.json"
+        path.write_text(json.dumps({"matrix": [[[1.0, 0.0] if i == j else [0.0, 0.0]
+                                                for j in range(4)] for i in range(4)]}))
+        code = cli.main(["scramble", "--unitary", str(path), "--partition", "A=0;D=1"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_CHECK_FAILED == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: Renyi-2 identity violated")
+        assert captured.err.count("\n") == 1
+
 
 class TestTimeavgCommand:
     def test_degenerate(self, capsys):

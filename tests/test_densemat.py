@@ -71,6 +71,59 @@ class TestHaarUnitary:
         assert np.array_equal(u1, u2)
 
 
+class TestStackedDraws:
+    # a stack is one rng.normal call and one stacked QR (eigh): it must be the
+    # one-at-a-time stream bit for bit, and leave the generator where it would
+    @pytest.mark.parametrize("draw", [dm.haar_unitary, dm.gue_hamiltonian])
+    @pytest.mark.parametrize("d", [2, 4, 16])
+    def test_stack_is_the_sequential_stream(self, draw, d):
+        for seed in range(3):
+            stacked_rng, single_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            stack = draw(d, stacked_rng, 7)
+            singles = np.stack([draw(d, single_rng) for _ in range(7)])
+            assert np.array_equal(stack, singles)
+            assert stacked_rng.bit_generator.state == single_rng.bit_generator.state
+
+    def test_size_is_a_numpy_shape(self):
+        rng = np.random.default_rng(1)
+        assert dm.haar_unitary(3, rng).shape == (3, 3)
+        assert dm.haar_unitary(3, rng, (2, 5)).shape == (2, 5, 3, 3)
+        assert dm.gue_hamiltonian(3, rng, 4).shape == (4, 3, 3)
+
+    def test_near_singular_draw_is_redrawn_in_sequence(self, monkeypatch):
+        d, count, bad = 3, 6, 2
+        free = dm.haar_unitary(d, np.random.default_rng(8), count)
+        poison = np.random.default_rng(8).normal(size=(count, 2, d, d))[bad, 0, 0, 0]
+        real_qr = np.linalg.qr
+
+        def qr(g):  # R of the draw starting with `poison` gets a zero on its diagonal
+            q, r = real_qr(g)
+            r = r.copy()
+            r[..., 0, 0] = np.where(g[..., 0, 0].real == poison, 0, r[..., 0, 0])
+            return q, r
+
+        monkeypatch.setattr(np.linalg, "qr", qr)
+        stacked_rng, single_rng = np.random.default_rng(8), np.random.default_rng(8)
+        stack = dm.haar_unitary(d, stacked_rng, count)
+        singles = np.stack([dm.haar_unitary(d, single_rng) for _ in range(count)])
+        assert np.array_equal(stack, singles)
+        assert stacked_rng.bit_generator.state == single_rng.bit_generator.state
+        assert np.array_equal(stack[:bad], free[:bad]) and not np.array_equal(stack[bad], free[bad])
+        assert np.max(np.abs(dm.dagger(stack) @ stack - np.eye(d))) <= 1e-12
+
+    def test_samplers_equal_one_draw_at_a_time(self):
+        d, t = 4, 0.8
+        rng = np.random.default_rng([5, 0])
+        want = [dm.evolve(dm.gue_hamiltonian(d, rng), t) for _ in range(9)]
+        assert np.array_equal(dm.gue_evolution_ensemble(d, t).sample_block(5, 9), want)
+        h = dm.gue_hamiltonian(d, np.random.default_rng(6))
+        evals, vecs = np.linalg.eigh(h)
+        rng = np.random.default_rng([5, 0])
+        want = [(vecs * np.exp(-1j * evals * rng.uniform(0.0, 3.0))) @ vecs.conj().T
+                for _ in range(9)]
+        assert np.array_equal(dm.hamiltonian_evolution_ensemble(h, 3.0).sample_block(5, 9), want)
+
+
 class TestGue:
     def test_exactly_hermitian(self):
         rng = np.random.default_rng(4)
@@ -268,10 +321,11 @@ class TestEnsembleAverage:
 
     def test_sampler_pairs_are_consecutive_draws(self):
         ens = dm.haar_ensemble(2, seed=4)
-        g = lambda u, v: abs(np.trace(u.conj().T @ v)) ** 2
+        term = lambda u, v: abs(np.trace(u.conj().T @ v)) ** 2
+        g = lambda us, vs: np.array([term(u, v) for u, v in zip(us, vs)])  # per chunk
         est = ens.average(g, pairs=True, mc_samples=30)
         draws = ens.sample_block(4, 60)
-        vals = np.array([g(draws[2 * i], draws[2 * i + 1]) for i in range(30)])
+        vals = np.array([term(draws[2 * i], draws[2 * i + 1]) for i in range(30)])
         assert est.value == float(vals.mean())
         assert est.std_error == float(vals.std(ddof=1) / math.sqrt(30))
         assert (est.n_samples, est.seed, est.method) == (30, 4, "monte-carlo")
@@ -287,6 +341,70 @@ class TestEnsembleAverage:
         assert cplx.std_error == math.sqrt((re.var(ddof=1) + im.var(ddof=1)) / 40)
 
 
+def per_draw_correlator(u, spec):
+    """The dense correlator chain for one unitary, as it ran before the
+    chain was stacked: the oracle of the stacked chain."""
+    d = 2**spec.n
+    acc = np.eye(d, dtype=complex)
+    for a, b in zip(*spec.expanded()):
+        acc = acc @ dm.pauli_to_dense(a) @ (u.conj().T @ dm.pauli_to_dense(b) @ u)
+    return complex(np.trace(acc) / d)
+
+
+class TestStreamedAverage:
+    # chunk-1, chunk, chunk+1 values; pairs around the chunk boundaries, where
+    # pair i must still be draws 2i and 2i+1 of the one stream
+    CHUNK = dm.MC_CHUNK
+    SPEC = OtoSpec((paulialg.single_site(2, 0, "X"), paulialg.single_site(2, 1, "X")),
+                   (paulialg.single_site(2, 0, "Z"), paulialg.single_site(2, 1, "Z")),
+                   "commutator")
+
+    def test_chunks_hold_whole_pairs(self):
+        assert self.CHUNK % 2 == 0
+
+    @pytest.mark.parametrize("mc_samples", [CHUNK - 1, CHUNK, CHUNK + 1])
+    def test_draws_match_the_per_draw_oracle(self, mc_samples):
+        est = otolab.oto_ensemble_average(dm.haar_ensemble(4), self.SPEC, mc_samples, seed=21)
+        rng = np.random.default_rng([21, 0])
+        vals = [per_draw_correlator(dm.haar_unitary(4, rng), self.SPEC) for _ in range(mc_samples)]
+        want = dm.mc_estimate(np.array(vals), 21)
+        assert (est.value, est.std_error, est.n_samples) == (want.value, want.std_error, mc_samples)
+
+    @pytest.mark.parametrize("mc_samples", [CHUNK // 2 - 1, CHUNK // 2, CHUNK // 2 + 1,
+                                            CHUNK - 1, CHUNK, CHUNK + 1])
+    def test_pairs_match_the_per_draw_oracle(self, mc_samples):
+        k = 2
+        est = fp.frame_potential_mc(dm.haar_ensemble(4), k, mc_samples, seed=22)
+        rng = np.random.default_rng([22, 0])
+        draws = [dm.haar_unitary(4, rng) for _ in range(2 * mc_samples)]
+        vals = [(abs(np.trace(draws[2 * i].conj().T @ draws[2 * i + 1])) ** 2) ** k
+                for i in range(mc_samples)]
+        want = dm.mc_estimate(np.array(vals), 22)
+        assert (est.value, est.std_error, est.n_samples) == (want.value, want.std_error, mc_samples)
+
+    def test_stream_holds_at_most_a_chunk(self):
+        sizes = []
+
+        def sampler(rng, size):
+            sizes.append(size)
+            return dm.haar_unitary(2, rng, size)
+
+        ens = dm.Ensemble("recorded", 2, sampler=sampler)
+        ens.average(lambda u: dm.trace(u).real, mc_samples=2 * self.CHUNK + 3, seed=1)
+        assert sizes == [self.CHUNK, self.CHUNK, 3]
+
+    @pytest.mark.parametrize("ens", [dm.haar_ensemble(4), dm.gue_evolution_ensemble(2, 0.5),
+                                     dm.brickwork_ensemble(2, 2), cg.clifford_ensemble(2)],
+                             ids=lambda ens: ens.label)
+    def test_stream_is_the_block(self, ens):
+        count = self.CHUNK + 5
+        block = ens.sample_block(3, count)
+        streamed = [el for chunk in ens.stream(3, count) for el in chunk]
+        assert len(streamed) == len(block) == count
+        for a, b in zip(block, streamed):
+            assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+
 class TestMonteCarloGuard:
     # one draw has no spread: kfold_channel_apply used to report a std error of 0
     ESTIMATORS = {
@@ -297,8 +415,8 @@ class TestMonteCarloGuard:
         "generalized_G": lambda ens: fp.generalized_G(ens, np.eye(2) / 2, 1, mc_samples=1),
         "kfold_channel_apply": lambda ens: dm.kfold_channel_apply(
             ens, np.diag([1, -1]), 1, mc_samples=1),
-        "thermal_W": lambda ens: fp.thermal_W(lambda rng: dm.gue_hamiltonian(2, rng),
-                                              0.0, 0.0, 1, 1, seed=1),
+        "thermal_W": lambda ens: fp.thermal_W(
+            lambda rng, size: dm.gue_hamiltonian(2, rng, size), 0.0, 0.0, 1, 1, seed=1),
     }
 
     @pytest.mark.parametrize("name", list(ESTIMATORS))

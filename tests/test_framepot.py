@@ -264,10 +264,39 @@ class TestGeneralizedPotentials:
             assert total == pytest.approx(4 * ref, abs=1e-10)
 
 
+def thermal_W_per_sample(d, beta, t, k, mc_samples, seed):
+    """The thermal frame potential one (G, H) pair at a time, as it ran
+    before the draws were stacked: the oracle of the stacked thermal_W."""
+    rng = np.random.default_rng([seed, 0])
+    b = beta / (2 * k)
+    vals = np.empty(mc_samples)
+    for i in range(mc_samples):
+        g = dm.gue_hamiltonian(d, rng)
+        h = dm.gue_hamiltonian(d, rng)
+        eg, vg = np.linalg.eigh(g)
+        eh, vh = np.linalg.eigh(h)
+        mg = (vg * np.exp(-(b - 1j * t) * eg + b * eg.min())) @ vg.conj().T
+        mh = (vh * np.exp(-(b + 1j * t) * eh + b * eh.min())) @ vh.conj().T
+        num = abs(np.trace(mg @ mh)) ** (2 * k)
+        den = np.exp(-beta * (eg - eg.min())).sum() * np.exp(-beta * (eh - eh.min())).sum()
+        vals[i] = num / den
+    return dm.mc_estimate(vals, seed)
+
+
 class TestThermalW:
+    @pytest.mark.parametrize("beta", [0.0, 2.0, 50.0])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_stack_matches_the_per_sample_loop(self, beta, k):
+        # 33 pairs: 66 draws, so one pair lies past the first chunk
+        d, t = 4, 0.9
+        sampler = lambda rng, size: dm.gue_hamiltonian(d, rng, size)
+        est = fp.thermal_W(sampler, beta, t, k, 33, seed=75)
+        want = thermal_W_per_sample(d, beta, t, k, 33, 75)
+        assert (est.value, est.std_error, est.n_samples) == (want.value, want.std_error, 33)
+
     def test_beta_zero_matches_plain_over_d2(self):
         d, k, t = 2, 1, 0.7
-        sampler = lambda rng: dm.gue_hamiltonian(d, rng)
+        sampler = lambda rng, size: dm.gue_hamiltonian(d, rng, size)
         west = fp.thermal_W(sampler, 0.0, t, k, 4000, seed=71)
         ens = dm.gue_evolution_ensemble(d, t, seed=72)
         fest = fp.frame_potential_mc(ens, k, 4000)
@@ -291,7 +320,7 @@ class TestThermalW:
             assert num / den <= 1.0 + 1e-12
 
     def test_nontrivial_bound_at_large_beta(self):
-        sampler = lambda rng: dm.gue_hamiltonian(4, rng)
+        sampler = lambda rng, size: dm.gue_hamiltonian(4, rng, size)
         est = fp.thermal_W(sampler, 6.0, 0.0, 1, 2000, seed=74)
         assert est.value < 1.0
         # |E(0)| >= 1/W gives a bound strictly above the trivial 1
@@ -301,7 +330,7 @@ class TestThermalW:
         # As beta -> infinity each thermal operator projects on its ground
         # state, so W -> E|<g|h>|^4 over independent Haar ground states,
         # 2/(d(d+1)) = 1/3 at d=2. Unshifted exponentials overflow here.
-        sampler = lambda rng: dm.gue_hamiltonian(2, rng)
+        sampler = lambda rng, size: dm.gue_hamiltonian(2, rng, size)
         est = fp.thermal_W(sampler, 1000.0, 0.0, 1, 200, seed=3)
         assert math.isfinite(est.value) and math.isfinite(est.std_error)
         assert abs(est.value - 1 / 3) <= 5 * est.std_error
@@ -309,7 +338,7 @@ class TestThermalW:
     @pytest.mark.parametrize("samples", [1, 0])
     def test_needs_two_samples(self, samples):
         # one sample has no standard error: std(ddof=1) would be NaN
-        sampler = lambda rng: dm.gue_hamiltonian(2, rng)
+        sampler = lambda rng, size: dm.gue_hamiltonian(2, rng, size)
         with pytest.raises(ValueError, match="mc_samples >= 2"):
             fp.thermal_W(sampler, 0.0, 0.0, 1, samples, seed=3)
 

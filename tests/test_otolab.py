@@ -25,10 +25,64 @@ X, Y, Z = from_label("X"), from_label("Y"), from_label("Z")
 F = Fraction
 
 
+def channel_coefficients_haar(b_ops, k: int) -> otolab.ChannelCoefficients:
+    """Pauli-basis expansion of the exact Haar k-fold channel applied to
+    B_1 (x) ... (x) B_k."""
+    big = dm.pauli_to_dense(b_ops[0])
+    for b in b_ops[1:]:
+        big = np.kron(big, dm.pauli_to_dense(b))
+    n = b_ops[0].n
+    return otolab._expand_in_pauli_basis(dm.haar_channel_reference(big, k, 2**n), n, k)
+
+
+def four_point_haar_dense(a, b, c, d_op) -> complex:
+    """The general 4-point Haar formula for arbitrary dense operators."""
+    d = a.shape[0]
+
+    def ev(m):
+        return np.trace(m) / d
+
+    ac, bd = ev(a @ c), ev(b @ d_op)
+    ea, eb, ec, ed = ev(a), ev(b), ev(c), ev(d_op)
+    return complex(ac * eb * ed + ea * ec * bd - ea * ec * eb * ed
+                   - (ac - ea * ec) * (bd - eb * ed) / (d * d - 1))
+
+
 def commuting_8pt_paulis(n):
     """(A, C, B, D) with [A,C] = [B,D] = 0, AC != I, BD != I."""
     return (single_site(n, 0, "X"), single_site(n, 1, "X"),
             single_site(n, 0, "Z"), single_site(n, 1, "Z"))
+
+
+def per_draw_correlator(u, spec):
+    """The dense correlator chain for one unitary, as it ran before the
+    chain was stacked: the oracle of the stacked chain."""
+    d = 2**spec.n
+    acc = np.eye(d, dtype=complex)
+    for a, b in zip(*spec.expanded()):
+        acc = acc @ dm.pauli_to_dense(a) @ (u.conj().T @ dm.pauli_to_dense(b) @ u)
+    return complex(np.trace(acc) / d)
+
+
+class TestStackedCorrelator:
+    A_OPS = (single_site(2, 0, "X"), single_site(2, 1, "Y"))
+    B_OPS = (single_site(2, 1, "Z"), single_site(2, 0, "X"))
+
+    @pytest.mark.parametrize("ordering", otolab.ORDERINGS)
+    def test_stack_matches_the_per_draw_chain(self, ordering):
+        spec = OtoSpec(self.A_OPS, self.B_OPS, ordering)
+        stack = dm.haar_unitary(4, np.random.default_rng(31), (3, 5))
+        got = oto_correlator(stack, spec)
+        assert got.shape == (3, 5)
+        assert np.array_equal(got, [[per_draw_correlator(u, spec) for u in row] for row in stack])
+        one = oto_correlator(stack[1, 2], spec)
+        assert type(one) is complex and one == got[1, 2]
+
+    def test_one_unitarity_check_for_the_stack(self):
+        stack = dm.haar_unitary(4, np.random.default_rng(32), 5)
+        stack[3] *= 1 + 1e-6
+        with pytest.raises(ValueError, match="matrix is not unitary"):
+            oto_correlator(stack, OtoSpec(self.A_OPS, self.B_OPS))
 
 
 class TestOtoCorrelator:
@@ -346,7 +400,7 @@ class TestReconstruction:
     def test_haar_channel_supported_on_permutations(self):
         # gamma from the Haar reference reassembles into span{W_pi}
         b_ops = (X, X)
-        gamma = otolab.channel_coefficients_haar(b_ops, 2).gamma
+        gamma = channel_coefficients_haar(b_ops, 2).gamma
         out = np.zeros((4, 4), dtype=complex)
         for c_ops in itertools.product(paulialg.enumerate_paulis(1), repeat=2):
             key = tuple(c.label() for c in c_ops)
@@ -379,7 +433,7 @@ class TestPredictTable:
         d = 4
         ops = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(4)]
         a, b, c, dd = ops
-        want = otolab.four_point_haar_dense(a, b, c, dd)
+        want = four_point_haar_dense(a, b, c, dd)
         n = 20_000
         vals = np.empty(n, dtype=complex)
         for i in range(n):

