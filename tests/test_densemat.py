@@ -341,34 +341,13 @@ class TestEnsembleAverage:
         assert cplx.std_error == math.sqrt((re.var(ddof=1) + im.var(ddof=1)) / 40)
 
 
-def per_draw_correlator(u, spec):
-    """The dense correlator chain for one unitary, as it ran before the
-    chain was stacked: the oracle of the stacked chain."""
-    d = 2**spec.n
-    acc = np.eye(d, dtype=complex)
-    for a, b in zip(*spec.expanded()):
-        acc = acc @ dm.pauli_to_dense(a) @ (u.conj().T @ dm.pauli_to_dense(b) @ u)
-    return complex(np.trace(acc) / d)
-
-
 class TestStreamedAverage:
-    # chunk-1, chunk, chunk+1 values; pairs around the chunk boundaries, where
-    # pair i must still be draws 2i and 2i+1 of the one stream
+    # pairs around the chunk boundaries, where pair i must still be draws 2i
+    # and 2i+1 of the one stream (single draws: test_otolab.TestStackedCorrelator)
     CHUNK = dm.MC_CHUNK
-    SPEC = OtoSpec((paulialg.single_site(2, 0, "X"), paulialg.single_site(2, 1, "X")),
-                   (paulialg.single_site(2, 0, "Z"), paulialg.single_site(2, 1, "Z")),
-                   "commutator")
 
     def test_chunks_hold_whole_pairs(self):
         assert self.CHUNK % 2 == 0
-
-    @pytest.mark.parametrize("mc_samples", [CHUNK - 1, CHUNK, CHUNK + 1])
-    def test_draws_match_the_per_draw_oracle(self, mc_samples):
-        est = otolab.oto_ensemble_average(dm.haar_ensemble(4), self.SPEC, mc_samples, seed=21)
-        rng = np.random.default_rng([21, 0])
-        vals = [per_draw_correlator(dm.haar_unitary(4, rng), self.SPEC) for _ in range(mc_samples)]
-        want = dm.mc_estimate(np.array(vals), 21)
-        assert (est.value, est.std_error, est.n_samples) == (want.value, want.std_error, mc_samples)
 
     @pytest.mark.parametrize("mc_samples", [CHUNK // 2 - 1, CHUNK // 2, CHUNK // 2 + 1,
                                             CHUNK - 1, CHUNK, CHUNK + 1])

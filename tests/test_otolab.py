@@ -78,6 +78,15 @@ class TestStackedCorrelator:
         one = oto_correlator(stack[1, 2], spec)
         assert type(one) is complex and one == got[1, 2]
 
+    @pytest.mark.parametrize("mc_samples", [dm.MC_CHUNK - 1, dm.MC_CHUNK, dm.MC_CHUNK + 1])
+    def test_average_matches_the_per_draw_oracle(self, mc_samples):
+        spec = OtoSpec(self.A_OPS, self.B_OPS, "commutator")
+        est = oto_ensemble_average(dm.haar_ensemble(4), spec, mc_samples, seed=21)
+        rng = np.random.default_rng([21, 0])
+        vals = [per_draw_correlator(dm.haar_unitary(4, rng), spec) for _ in range(mc_samples)]
+        want = dm.mc_estimate(np.array(vals), 21)
+        assert (est.value, est.std_error, est.n_samples) == (want.value, want.std_error, mc_samples)
+
     def test_one_unitarity_check_for_the_stack(self):
         stack = dm.haar_unitary(4, np.random.default_rng(32), 5)
         stack[3] *= 1 + 1e-6
