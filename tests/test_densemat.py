@@ -346,9 +346,6 @@ class TestStreamedAverage:
     # and 2i+1 of the one stream (single draws: test_otolab.TestStackedCorrelator)
     CHUNK = dm.MC_CHUNK
 
-    def test_chunks_hold_whole_pairs(self):
-        assert self.CHUNK % 2 == 0
-
     @pytest.mark.parametrize("mc_samples", [CHUNK // 2 - 1, CHUNK // 2, CHUNK // 2 + 1,
                                             CHUNK - 1, CHUNK, CHUNK + 1])
     def test_pairs_match_the_per_draw_oracle(self, mc_samples):
