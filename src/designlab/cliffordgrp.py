@@ -8,9 +8,9 @@ symplectic matrix over GF(2); the sign part is 2n bits.
 Conjugation of arbitrary Paulis, composition, inversion, exactly uniform
 sampling, the 24-element single-qubit enumeration, exact pair traces
 |tr(A^dag B)|^2 from the GF(2) kernel of S_A xor S_B (2^dim K or 0, with
-no walk over the 4^n Paulis, so at any n), and dense synthesis (for
-n <= 5) by symplectic Gaussian elimination into H/S/CZ/Pauli gates all
-live here. Tableaux are immutable and operations are pure.
+no walk over the 4^n Paulis, so at any n), and dense unitaries (for
+n <= 5) read off the tableau's stabilizer state C^dag |0...0> all live
+here. Tableaux are immutable and operations are pure.
 """
 
 from __future__ import annotations
@@ -265,125 +265,33 @@ def clifford_ensemble(n: int, seed: int | None = None) -> Ensemble:
 
 
 # ---------------------------------------------------------------------------
-# dense synthesis
+# dense unitaries
 # ---------------------------------------------------------------------------
-
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-_S = np.diag([1, 1j]).astype(complex)
-
-
-def _gate_dense(gate: tuple, n: int) -> np.ndarray:
-    kind = gate[0]
-    if kind == "h":
-        mats = [_H if j == gate[1] else np.eye(2) for j in range(n)]
-    elif kind == "s":
-        mats = [_S if j == gate[1] else np.eye(2) for j in range(n)]
-    elif kind == "cz":
-        d = 2**n
-        out = np.eye(d, dtype=complex)
-        i, j = gate[1], gate[2]
-        for b in range(d):
-            if (b >> (n - 1 - i)) & 1 and (b >> (n - 1 - j)) & 1:
-                out[b, b] = -1
-        return out
-    else:
-        raise ValueError(f"unknown gate {gate!r}")
-    m = np.array([[1]], dtype=complex)
-    for factor in mats:
-        m = np.kron(m, factor)
-    return m
-
-
-def _apply_gate_bits(mat: np.ndarray, gate: tuple, n: int):
-    """Column action of P -> g^dag P g on (x|z) bit rows, in place."""
-    kind = gate[0]
-    if kind == "h":
-        s = gate[1]
-        mat[:, [s, n + s]] = mat[:, [n + s, s]]
-    elif kind == "s":
-        s = gate[1]
-        mat[:, n + s] ^= mat[:, s]
-    elif kind == "cz":
-        i, j = gate[1], gate[2]
-        mat[:, n + j] ^= mat[:, i]
-        mat[:, n + i] ^= mat[:, j]
-    else:
-        raise ValueError(f"unknown gate {gate!r}")
-
-
-def _cnot(c: int, t: int) -> list[tuple]:
-    return [("h", t), ("cz", c, t), ("h", t)]
-
-
-def _synthesis_word(c: CliffordTableau) -> list[tuple]:
-    """Primitive gates g_1..g_m with tableau-bits(C g_1 ... g_m) = identity."""
-    n = c.n
-    m = c.symplectic_matrix().copy()
-    word: list[tuple] = []
-
-    def do(gates):
-        for g in gates if isinstance(gates, list) else [gates]:
-            _apply_gate_bits(m, g, n)
-            word.append(g)
-
-    for i in range(n):
-        v = m[i]
-        if not v[i:n].any():
-            j = i + int(np.flatnonzero(v[n + i:])[0])
-            do(("h", j))
-        if v[i] == 0:
-            j = i + 1 + int(np.flatnonzero(v[i + 1:n])[0])
-            do(_cnot(j, i))
-        for j in range(i + 1, n):
-            if v[j]:
-                do(_cnot(i, j))
-        if v[n + i]:
-            do(("s", i))
-        for j in range(i + 1, n):
-            if v[n + j]:
-                do(("cz", i, j))
-        w = m[n + i]
-        for j in range(i + 1, n):
-            if w[j] and w[n + j]:
-                do(("s", j))
-            if w[j]:
-                do(("h", j))
-            if w[n + j]:
-                do(_cnot(j, i))
-        if w[i]:
-            do([("h", i), ("s", i), ("h", i)])
-    if not np.array_equal(m, np.eye(2 * n, dtype=np.uint8)):
-        raise RuntimeError("symplectic elimination failed to reach identity")
-    return word
-
 
 def to_dense(c: CliffordTableau) -> np.ndarray:
     """Dense unitary of the tableau (global phase normalized so the first
-    maximum-modulus entry is real positive). Guarded at n <= 5."""
+    entry of modulus above 1e-9 is real positive). Guarded at n <= 5.
+
+    The tableau fixes C up to a phase through the state v = C^dag |0...0>,
+    the common +1 eigenvector of the Z-images C^dag Z_j C: v is the
+    largest-diagonal column of the rank-1 projector prod_j (I + C^dag Z_j C)/2,
+    normalized. Column x of C^dag is C^dag X^x |0...0> = (C^dag X^x C) v,
+    the image of X^x with its exact sign, so no gate word is needed and only
+    the global phase is left free (Aaronson & Gottesman, quant-ph/0406196).
+    """
     n = c.n
     if n > DENSE_QUBIT_GUARD:
         raise ValueError(f"dense guard exceeded: n={n} > {DENSE_QUBIT_GUARD}")
-    word = _synthesis_word(c)
-    u0 = np.eye(2**n, dtype=complex)
-    for g in reversed(word):
-        u0 = u0 @ _gate_dense(g, n).conj().T
-    # Pauli correction from sign mismatches of generator images
-    gens = identity_tableau(n)
-    flips = []
-    for gen, target in zip(gens.x_images + gens.z_images, c.x_images + c.z_images):
-        got = u0.conj().T @ pauli_to_dense(gen) @ u0
-        ref = pauli_to_dense(target.representative())
-        idx = np.unravel_index(np.argmax(np.abs(ref)), ref.shape)
-        ratio = got[idx] / ref[idx]
-        sign_got = int(round(ratio.real))
-        if abs(ratio - sign_got) > 1e-8 or sign_got not in (1, -1):
-            raise RuntimeError("synthesized unitary disagrees with tableau bits")
-        target_sign = 1 if target.phase == 0 else -1
-        flips.append(1 if sign_got != target_sign else 0)
-    # Z_j flips the sign of the image of X_j, and X_j that of Z_j
-    correction = paulialg.from_symplectic(flips[n:] + flips[:n])
-    u = pauli_to_dense(correction) @ u0
-    # normalize the free global phase: first significant entry real positive
+    check_tableau(c)
+    d = 2**n
+    proj = np.eye(d, dtype=complex)
+    for img in c.z_images:
+        proj = proj @ (np.eye(d) + pauli_to_dense(img)) / 2
+    col = proj[:, np.argmax(proj.diagonal().real)]
+    v = col / np.linalg.norm(col)
+    u_dag = np.stack([pauli_to_dense(conjugate_pauli(c, PauliString(n, x, 0))) @ v
+                      for x in range(d)], axis=1)
+    u = u_dag.conj().T
     flat = u.flatten()
     first = flat[np.flatnonzero(np.abs(flat) > 1e-9)[0]]
     return u * (abs(first) / first)

@@ -136,6 +136,8 @@ def haar_unitary(d: int, rng: np.random.Generator, size=()) -> np.ndarray:
     distribution is exactly Haar (Mezzadri, math-ph/0609050)."""
     if d < 1:
         raise ValueError("d must be positive")
+    if d > DENSE_GUARD:
+        raise ValueError(f"dense guard exceeded: d={d} > {DENSE_GUARD}")
     shape = _shape(size)
     state = rng.bit_generator.state if shape else None
     q, diag = _ginibre_qr(d, rng, shape)
@@ -156,6 +158,8 @@ def gue_hamiltonian(d: int, rng: np.random.Generator, size=()) -> np.ndarray:
     normalized so E[tr H^2] = d."""
     if d < 1:
         raise ValueError("d must be positive")
+    if d > DENSE_GUARD:
+        raise ValueError(f"dense guard exceeded: d={d} > {DENSE_GUARD}")
     z = rng.normal(size=_shape(size) + (2, d, d))
     g = z[..., 0, :, :] / np.sqrt(2) + 1j * z[..., 1, :, :] / np.sqrt(2)
     h = (g + dagger(g)) / 2
@@ -373,6 +377,8 @@ def brickwork_ensemble(n: int, depth: int, seed: int | None = None) -> Ensemble:
     if depth < 1:
         raise ValueError(f"brickwork needs depth >= 1, got depth={depth}")
     d = 2**n
+    if d > DENSE_GUARD:
+        raise ValueError(f"dense guard exceeded: d={d} > {DENSE_GUARD}")
 
     def circuit(rng):
         u = np.eye(d, dtype=complex)

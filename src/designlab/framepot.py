@@ -40,6 +40,11 @@ def _per_value(fn, *values):
     return np.array([fn(*vs) for vs in zip(*values)])
 
 
+def _check_k(k: int):
+    if k < 1:
+        raise ValueError(f"k must be a positive integer, got k={k}")
+
+
 def _pair_trace_power(a, b, k: int):
     """|tr(a^dag b)|^(2k) for a pair of ensemble elements, or per pair of two
     chunks of draws; exact for Pauli/Clifford, a stacked trace otherwise."""
@@ -63,6 +68,7 @@ def frame_potential_exact(ens: Ensemble, k: int) -> Estimate:
     if ens.kind != "discrete":
         raise ValueError("exact frame potential needs a discrete ensemble; "
                          "use frame_potential_mc for samplers")
+    _check_k(k)
     return ens.average(lambda a, b: _pair_trace_power(a, b, k), pairs=True)
 
 
@@ -71,6 +77,7 @@ def frame_potential_mc(ens: Ensemble, k: int, n_pairs: int,
     """Monte-Carlo frame potential: mean of |tr(U^dag V)|^(2k) over
     independent pairs, with the plug-in standard error. A discrete ensemble
     gives its exact double sum, as in frame_potential_exact."""
+    _check_k(k)
     return ens.average(lambda a, b: _pair_trace_power(a, b, k), pairs=True,
                        mc_samples=n_pairs, seed=seed)
 
@@ -145,6 +152,8 @@ def time_averaged_frame_potential(spectrum, k: int, t_max: float,
     """
     if n_grid < 16:
         raise ValueError("n_grid must be at least 16")
+    if t_max <= 0:
+        raise ValueError(f"t_max must be positive, got t_max={t_max}")
     value = _trapezoid_double_average(spectrum, k, t_max, n_grid)
     half = _trapezoid_double_average(spectrum, k, t_max / 2, max(n_grid // 2, 16))
     return Estimate(value, abs(value - half), n_grid, method="time-average")
@@ -234,6 +243,7 @@ def thermal_W(h_sampler, beta: float, t: float, k: int, mc_samples: int,
     """
     if beta < 0:
         raise ValueError("beta must be nonnegative")
+    _check_k(k)
     check_mc_samples(mc_samples)
     rng = np.random.default_rng([seed, 0])
     b = beta / (2 * k)
@@ -269,6 +279,12 @@ def _check_positive_f(f: float):
         raise ValueError("frame potential must be positive")
 
 
+def _check_choices(choices: float):
+    # log(choices) is the denominator: 1 gives no bound, below 1 flips its sign
+    if choices <= 1:
+        raise ValueError(f"choices must exceed 1, got choices={choices}")
+
+
 def cardinality_bound(f: float, k: int, d: int) -> float:
     """Lower bound on the ensemble size: d^(2k) / F."""
     _check_positive_f(f)
@@ -279,6 +295,7 @@ def complexity_bound(f: float, k: int, n: int, choices: float) -> float:
     """Lower bound on circuit complexity:
     (2kn log 2 - log F) / log(choices), natural logs."""
     _check_positive_f(f)
+    _check_choices(choices)
     return (2 * k * n * math.log(2) - math.log(f)) / math.log(choices)
 
 
@@ -286,6 +303,8 @@ def gate_count_bound(cardinality: float, g: int, n: int) -> float:
     """Lower bound on gate count from ensemble size: log|E| / log(g n^2)."""
     if cardinality <= 0:
         raise ValueError("cardinality must be positive")
+    if g * n * n <= 1:
+        raise ValueError(f"gate count bound needs g n^2 > 1, got g={g}, n={n}")
     return math.log(cardinality) / math.log(g * n * n)
 
 
@@ -303,6 +322,8 @@ def depth_bound(f: float, k: int, n: int, g: int, q: int) -> float:
     if n % q != 0:
         raise ValueError("q must divide n for the parallel-pairing count")
     pairings = math.log(math.factorial(n)) - (n // q) * math.log(math.factorial(q))
+    if math.log(g) + pairings <= 0:
+        raise ValueError(f"depth bound needs g n!/(q!)^(n/q) > 1, got g={g}, n={n}, q={q}")
     return (2 * k * n * math.log(2) - math.log(f)) / (math.log(g) + pairings)
 
 
@@ -310,6 +331,7 @@ def epsilon_bound(f: float, k: int, d: int, epsilon: float, choices: float) -> f
     """Complexity lower bound at operator tolerance epsilon:
     (2k log d - k eps^2 - log F) / log(choices). Needs epsilon < sqrt(2)."""
     _check_positive_f(f)
+    _check_choices(choices)
     if not 0 < epsilon < math.sqrt(2):
         raise ValueError("epsilon must be in (0, sqrt(2)) for the bound to hold")
     return (2 * k * math.log(d) - k * epsilon**2 - math.log(f)) / math.log(choices)

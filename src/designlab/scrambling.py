@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import paulialg
-from .densemat import check_state, check_unitary, partial_trace, pauli_to_dense
+from .densemat import DENSE_GUARD, check_state, check_unitary, partial_trace, pauli_to_dense
 from .paulialg import PauliString
 
 
@@ -86,11 +86,9 @@ def choi_state(u: np.ndarray) -> ChoiState:
     n = d.bit_length() - 1
     if 2**n != d:
         raise ValueError("need a 2^n-dimensional unitary")
-    amps = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            amps[j * d + i] = u[i, j] / math.sqrt(d)
-    return ChoiState(n, amps)
+    if d * d > DENSE_GUARD:  # the Choi density matrix has side d^2
+        raise ValueError(f"dense guard exceeded: Choi state side d^2 = {d * d} > {DENSE_GUARD}")
+    return ChoiState(n, u.T.reshape(-1) / math.sqrt(d))
 
 
 def renyi_entropy(rho: np.ndarray, k: int) -> float:
@@ -127,10 +125,12 @@ def oto_renyi2_check(u: np.ndarray, part: IoPartition) -> tuple[float, float]:
 
     lhs: average over all Pauli pairs (A on the input-A qubits, D on the
     output-D qubits, identities included) of <A D~ A+ D~+> with D~ = U+ D U.
-    rhs: (d / (d_A d_D)) 2^(-S2(rho_AC)) from the Choi state.
+    rhs: (d / (d_A d_D)) 2^(-S2(rho_AC)) from the Choi state, computed
+    first so the dense guard on its d^2 side stops before the Pauli sum.
     """
     u = check_unitary(u)
     d = 2**part.n
+    rho_ac = _choi_marginal(choi_state(u), part.a_qubits, part.c_qubits)
     a_ops = [pauli_to_dense(p) for p in _region_paulis(part.n, part.a_qubits)]
     d_ops = [pauli_to_dense(p) for p in _region_paulis(part.n, part.d_qubits)]
     dt = [u.conj().T @ m @ u for m in d_ops]
@@ -141,7 +141,6 @@ def oto_renyi2_check(u: np.ndarray, part: IoPartition) -> tuple[float, float]:
                      d_stack.conj().transpose(0, 2, 1))
     lhs = float(vals.real.sum() / (len(a_ops) * len(d_ops) * d))
 
-    rho_ac = _choi_marginal(choi_state(u), part.a_qubits, part.c_qubits)
     s2 = renyi_entropy(rho_ac, 2)
     rhs = d / (part.d_a * part.d_d) * 2.0 ** (-s2)
     return lhs, rhs
@@ -167,6 +166,7 @@ def renyi_k_oto(u: np.ndarray, part: IoPartition, k: int) -> tuple[float, float]
                          f"> {paulialg.MAX_PAULI_TUPLES}")
     u = check_unitary(u)
     d = 2**part.n
+    rho_ac = _choi_marginal(choi_state(u), part.a_qubits, part.c_qubits)
     a_paulis = _region_paulis(part.n, part.a_qubits)
     d_paulis = _region_paulis(part.n, part.d_qubits)
     a_mats = {p: pauli_to_dense(p) for p in a_paulis}
@@ -189,7 +189,6 @@ def renyi_k_oto(u: np.ndarray, part: IoPartition, k: int) -> tuple[float, float]
             count += 1
     lhs = float((total / count).real)
 
-    rho_ac = _choi_marginal(choi_state(u), part.a_qubits, part.c_qubits)
     sk = renyi_entropy(rho_ac, k)
     rhs = (d / (part.d_a * part.d_d)) ** (k - 1) * 2.0 ** (-(k - 1) * sk)
     return lhs, rhs
@@ -222,9 +221,7 @@ def catch_game(u: np.ndarray, perturbation: dict[PauliString, float]) -> float:
     total_p = sum(perturbation.values())
     if abs(total_p - 1.0) > 1e-10:
         raise ValueError("perturbation distribution must be normalized")
-    epr = np.zeros(d * d, dtype=complex)
-    for j in range(d):
-        epr[j * d + j] = 1.0 / math.sqrt(d)
+    epr = np.eye(d, dtype=complex).reshape(-1) / math.sqrt(d)
     big_u = np.kron(u, u.conj())
     prob = 0.0
     for p, weight in perturbation.items():

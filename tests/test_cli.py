@@ -155,7 +155,7 @@ class TestOtoCommand:
         assert "mc_samples >= 2" in err
 
     def test_clifford_draws_are_evaluated_exactly(self, capsys):
-        # the dense-synthesis route printed -0.10999999999999986 for these draws
+        # the dense route printed -0.10999999999999986 for these draws
         code, out = run(capsys, "oto", "--ensemble", "clifford", "--n", "2",
                         "--samples", "200", "--seed", "1")
         assert code == 0
@@ -164,7 +164,7 @@ class TestOtoCommand:
         assert abs(report["value"] - -0.10999999999999986) <= 1e-12
 
     def test_clifford_draws_beyond_the_dense_guard(self, capsys):
-        # n=6 is past cliffordgrp's n <= 5 dense synthesis guard
+        # n=6 is past cliffordgrp's n <= 5 dense-unitary guard
         code, out = run(capsys, "oto", "--ensemble", "clifford", "--n", "6",
                         "--samples", "20", "--seed", "1")
         assert code == 0
@@ -325,6 +325,27 @@ class TestNonFiniteReports:
         assert code == cli.EXIT_CHECK_FAILED == 1
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+class TestEdgeInputs:
+    @pytest.mark.parametrize("argv", [
+        # past DENSE_GUARD: each used to fail allocating gigabytes
+        "framepot --ensemble haar --n 14 --k 1 --samples 10 --seed 1",
+        "framepot --ensemble brickwork --n 14 --k 1 --samples 10 --seed 1",
+        "oto --ensemble gue-evolution --n 13 --samples 10 --seed 1",
+        "scramble --n 7 --seed 1",
+        # a k, time window or choice count that a formula divides by
+        "thermal --k 0",
+        "thermal --k -1",
+        "framepot --ensemble haar --n 1 --k -1 --samples 10 --seed 1",
+        "timeavg --spectrum 1,2 --t-max 0",
+        "bounds --f 1 --k 1 --n 1 --g 1",
+        "bounds --f 2 --k 1 --n 2 --g 1 --q 2",
+        "bounds --f 2 --k 1 --n 2 --choices 1",
+        "bounds --f 2 --k 1 --n 2 --choices 0.5",
+    ])
+    def test_is_a_config_error(self, capsys, argv):
+        assert_config_error(capsys, *argv.split())
 
 
 class TestVerifyCommand:

@@ -1,4 +1,4 @@
-"""Tests for Clifford tableaux: conjugation, sampling, enumeration, synthesis."""
+"""Tests for Clifford tableaux: conjugation, sampling, enumeration, dense unitaries."""
 
 import dataclasses
 
@@ -284,6 +284,16 @@ class TestToDense:
     def test_guard(self):
         with pytest.raises(ValueError):
             cg.to_dense(cg.identity_tableau(6))
+
+    @pytest.mark.parametrize("xs,zs", [
+        (("X",), ("X",)),            # X and Z both sent to X
+        (("XI", "IX"), ("XX", "IZ")),  # the images of X_0 and Z_0 commute
+        (("I",), ("Z",)),            # X sent to the identity
+    ])
+    def test_non_symplectic_tableau_is_rejected(self, xs, zs):
+        c = cg.CliffordTableau(len(xs), tuple(map(from_label, xs)), tuple(map(from_label, zs)))
+        with pytest.raises(ValueError, match="symplectic"):
+            cg.to_dense(c)
 
 
 class TestGroupStructure:
