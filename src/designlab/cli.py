@@ -34,6 +34,8 @@ EXIT_CONFIG = 2
 
 def build_ensemble(name: str, n: int, seed: int | None, depth: int = 4,
                    t: float = 1.0) -> dm.Ensemble:
+    if n < 1:
+        raise ValueError(f"--n must be at least 1, got {n}")
     d = 2**n
     if name == "haar":
         return dm.haar_ensemble(d, seed)
@@ -199,8 +201,8 @@ def _default_oto_spec(kind: str, n: int, m: int) -> tuple[OtoSpec, Fraction | No
 
 def cmd_oto(args) -> int:
     n = args.n
-    spec, prediction, formula = _default_oto_spec(args.kind, n, args.m)
     ens = build_ensemble(args.ensemble, n, args.seed, args.depth, args.t)
+    spec, prediction, formula = _default_oto_spec(args.kind, n, args.m)
     est = otolab.oto_ensemble_average(ens, spec, mc_samples=args.samples, seed=args.seed)
     value = complex(est.value)
     pred = None if prediction is None else float(prediction)
@@ -261,10 +263,18 @@ def cmd_bounds(args) -> int:
 
 
 def _parse_partition(text: str, n: int) -> scrambling.IoPartition:
-    parts = dict(item.split("=") for item in text.split(";"))
-    a = tuple(int(x) for x in parts.get("A", "").split(",") if x != "")
-    d = tuple(int(x) for x in parts.get("D", "").split(",") if x != "")
-    return scrambling.IoPartition(n, a, d)
+    """Parse "A=0,1;D=2": the qubits of regions A and D, each named at most
+    once; a region left out owns no qubit."""
+    parts: dict[str, tuple[int, ...]] = {}
+    for item in text.split(";"):
+        name, eq, qubits = item.partition("=")
+        qubits = [x for x in qubits.split(",") if x != ""]
+        if not (eq and name in ("A", "D") and name not in parts
+                and all(x.strip().isdecimal() for x in qubits)):
+            raise ValueError(f"bad partition item {item!r}: want A=<qubits> or D=<qubits>, "
+                             "each at most once")
+        parts[name] = tuple(int(x) for x in qubits)
+    return scrambling.IoPartition(n, parts.get("A", ()), parts.get("D", ()))
 
 
 def cmd_scramble(args) -> int:
@@ -274,7 +284,10 @@ def cmd_scramble(args) -> int:
         u = np.eye(2**args.n, dtype=complex)
     else:
         with open(args.unitary) as fh:
-            u = dm.matrix_from_json(json.load(fh)["matrix"])
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"{args.unitary} must hold a JSON object with a \"matrix\" key")
+        u = dm.matrix_from_json(data.get("matrix"))
     n = u.shape[0].bit_length() - 1
     part = _parse_partition(args.partition, n)
     if args.k == 2:

@@ -3,7 +3,9 @@
 A tableau stores the images of the 2n Pauli generators X_1..X_n, Z_1..Z_n
 under conjugation P -> C^dag P C (Heisenberg picture), each image a
 PauliString with a +/- sign. The bit part of the images forms a 2n x 2n
-symplectic matrix over GF(2); the sign part is 2n bits.
+symplectic matrix over GF(2), held as 2n packed int rows (paulialg.to_row)
+and reduced with XOR and row_product, so the tableau algebra uses no numpy;
+the sign part is 2n bits.
 
 Conjugation of arbitrary Paulis, composition, inversion, exactly uniform
 sampling, the 24-element single-qubit enumeration, exact pair traces
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import paulialg
 from .densemat import Ensemble, pauli_to_dense
-from .paulialg import PauliString, mul
+from .paulialg import PauliString, mul, row_product
 
 DENSE_QUBIT_GUARD = 5
 
@@ -43,37 +45,36 @@ class CliffordTableau:
             if img.phase not in (0, 2):
                 raise ValueError("generator images must be Hermitian (+/- sign)")
 
-    def symplectic_matrix(self) -> np.ndarray:
-        """2n x 2n GF(2) matrix; row r = the symplectic row (x | z) of image r."""
-        rows = [paulialg.to_symplectic(img) for img in self.x_images + self.z_images]
-        return np.array(rows, dtype=np.uint8)
+    def rows(self) -> list[int]:
+        """The packed GF(2) rows (x | z) of the 2n images, X images first."""
+        return [paulialg.to_row(img) for img in self.x_images + self.z_images]
 
     def phase_bits(self) -> tuple[int, ...]:
         return tuple(img.phase // 2 for img in self.x_images + self.z_images)
 
     def key(self) -> bytes:
         """Canonical hashable identity (mod global phase)."""
-        return self.symplectic_matrix().tobytes() + bytes(self.phase_bits())
+        return bytes(b for row in _bit_rows(self) for b in row) + bytes(self.phase_bits())
 
     def dense(self) -> np.ndarray:
         return to_dense(self)
 
 
-def _symplectic_product(u: np.ndarray, v: np.ndarray, n: int) -> int:
-    return int(np.dot(u[:n], v[n:]) + np.dot(u[n:], v[:n])) % 2
+def _bit_rows(c: CliffordTableau) -> list[list[int]]:
+    """The 2n x 2n GF(2) matrix of c as 0/1 lists, row r the image of generator r."""
+    return [[row >> b & 1 for b in range(2 * c.n - 1, -1, -1)] for row in c.rows()]
 
 
-def is_symplectic(mat: np.ndarray) -> bool:
-    """Check S Omega S^T = Omega over GF(2), Omega = [[0,I],[I,0]]."""
-    mat = np.asarray(mat, dtype=int)
-    n = mat.shape[0] // 2
-    omega = np.block([[np.zeros((n, n), int), np.eye(n, dtype=int)],
-                      [np.eye(n, dtype=int), np.zeros((n, n), int)]])
-    return bool(np.array_equal((mat @ omega @ mat.T) % 2, omega))
+def is_symplectic(c: CliffordTableau) -> bool:
+    """True iff the images form a symplectic basis: images r and s anticommute
+    exactly when they are the pair X_i, Z_i (|r - s| = n)."""
+    rows = c.rows()
+    return all(row_product(u, rows[s], c.n) == (s - r == c.n)
+               for r, u in enumerate(rows) for s in range(r + 1, len(rows)))
 
 
 def check_tableau(c: CliffordTableau):
-    if not is_symplectic(c.symplectic_matrix()):
+    if not is_symplectic(c):
         raise ValueError("tableau violates the symplectic condition")
 
 
@@ -134,18 +135,21 @@ def compose(a: CliffordTableau, b: CliffordTableau) -> CliffordTableau:
 
 
 def inverse(c: CliffordTableau) -> CliffordTableau:
-    """Tableau of C^-1: symplectic inverse Omega S^T Omega with phases fixed
-    by pushing candidate preimages back through c."""
-    n = c.n
-    s = c.symplectic_matrix().astype(int)
-    omega = np.block([[np.zeros((n, n), int), np.eye(n, dtype=int)],
-                      [np.eye(n, dtype=int), np.zeros((n, n), int)]])
-    sinv = (omega @ s.T @ omega) % 2
+    """Tableau of C^-1, with phases fixed by pushing the preimages back through c.
+
+    The image rows s_i form a symplectic basis, so the preimage of generator
+    g_r has coefficient <g_r, s_partner(i)> on g_i, where partner swaps X_i and
+    Z_i: the symplectic inverse with no transpose.
+    """
+    n, rows, top = c.n, c.rows(), 2 * c.n - 1
 
     def image_row(r: int) -> PauliString:
-        fwd = conjugate_pauli(c, paulialg.from_symplectic(sinv[r]))
+        g = 1 << (top - r)
+        pre = sum(row_product(g, rows[(i + n) % (2 * n)], n) << (top - i)
+                  for i in range(2 * n))
+        fwd = conjugate_pauli(c, paulialg.from_row(n, pre))
         # fwd must be +/- the generator r; cancel its phase
-        return paulialg.from_symplectic(sinv[r], (-fwd.phase) % 4)
+        return paulialg.from_row(n, pre, (-fwd.phase) % 4)
 
     xs = tuple(image_row(r) for r in range(n))
     zs = tuple(image_row(n + r) for r in range(n))
@@ -167,13 +171,10 @@ def trace_sq(c: CliffordTableau, ref: CliffordTableau | None = None) -> int:
         ref = identity_tableau(c.n)
     if ref.n != c.n:
         raise ValueError("qubit count mismatch")
-    width = 2 * c.n
-    packed = lambda p: int("".join(map(str, paulialg.to_symplectic(p))), 2)
     pivots: dict[int, tuple[int, int]] = {}  # leading bit -> (row, combination)
     dim = 0
-    for j, (img_a, img_b) in enumerate(zip(ref.x_images + ref.z_images,
-                                           c.x_images + c.z_images)):
-        row, comb = packed(img_a) ^ packed(img_b), 1 << (width - 1 - j)
+    for j, (row_a, row_b) in enumerate(zip(ref.rows(), c.rows())):
+        row, comb = row_a ^ row_b, 1 << (2 * c.n - 1 - j)
         while row:
             lead = row.bit_length() - 1
             if lead not in pivots:
@@ -182,7 +183,7 @@ def trace_sq(c: CliffordTableau, ref: CliffordTableau | None = None) -> int:
             row ^= pivots[lead][0]
             comb ^= pivots[lead][1]
         else:  # comb is the symplectic row of a new basis vector of K
-            q = paulialg.from_symplectic(format(comb, f"0{width}b"))
+            q = paulialg.from_row(c.n, comb)
             if conjugate_pauli(c, q).phase != conjugate_pauli(ref, q).phase:
                 return 0
             dim += 1
@@ -202,33 +203,35 @@ def random_clifford(n: int, rng: np.random.Generator) -> CliffordTableau:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    basis = np.eye(2 * n, dtype=np.uint8)
+    basis = [1 << b for b in range(2 * n - 1, -1, -1)]  # packed rows, generator order
+
+    def draw() -> int:  # the XOR of a uniform subset of the basis rows
+        out = 0
+        for bit, row in zip(rng.integers(0, 2, size=len(basis)).tolist(), basis):
+            if bit:
+                out ^= row
+        return out
+
     pairs = []
     for _ in range(n):
-        m = basis.shape[0]
-        while True:
-            coeff = rng.integers(0, 2, size=m).astype(np.uint8)
-            if coeff.any():
-                break
-        a = coeff @ basis % 2
-        while True:
-            coeff = rng.integers(0, 2, size=m).astype(np.uint8)
-            b = coeff @ basis % 2
-            if _symplectic_product(a, b, n) == 1:
-                break
+        a = 0
+        while not a:  # the basis is independent, so a = 0 iff the subset is empty
+            a = draw()
+        b = draw()
+        while row_product(a, b, n) != 1:
+            b = draw()
         pairs.append((a, b))
         for vec in (a, b):
-            vals = np.array([_symplectic_product(vec, row, n) for row in basis])
-            hot = np.flatnonzero(vals)
-            if hot.size:
+            hot = [r for r, row in enumerate(basis) if row_product(vec, row, n)]
+            if hot:
                 pivot = hot[0]
                 for r in hot[1:]:
-                    basis[r] = (basis[r] + basis[pivot]) % 2
-                basis = np.delete(basis, pivot, axis=0)
+                    basis[r] ^= basis[pivot]
+                del basis[pivot]
 
-    signs = rng.integers(0, 2, size=2 * n)
-    xs = tuple(paulialg.from_symplectic(pairs[i][0], 2 * int(signs[i])) for i in range(n))
-    zs = tuple(paulialg.from_symplectic(pairs[i][1], 2 * int(signs[n + i])) for i in range(n))
+    signs = rng.integers(0, 2, size=2 * n).tolist()
+    xs = tuple(paulialg.from_row(n, pairs[i][0], 2 * signs[i]) for i in range(n))
+    zs = tuple(paulialg.from_row(n, pairs[i][1], 2 * signs[n + i]) for i in range(n))
     return CliffordTableau(n, xs, zs)
 
 
@@ -304,20 +307,17 @@ def to_dense(c: CliffordTableau) -> np.ndarray:
 def tableau_to_json(c: CliffordTableau) -> dict:
     return {
         "n": c.n,
-        "symplectic": c.symplectic_matrix().astype(int).tolist(),
+        "symplectic": _bit_rows(c),
         "phases": [int(b) for b in c.phase_bits()],
     }
 
 
 def tableau_from_json(data: dict) -> CliffordTableau:
-    n = int(data["n"])
-    mat = np.array(data["symplectic"], dtype=np.uint8)
-    phases = data["phases"]
-
-    def row(r):
-        return paulialg.from_symplectic(mat[r], 2 * int(phases[r]))
-
-    c = CliffordTableau(n, tuple(row(r) for r in range(n)),
-                        tuple(row(n + r) for r in range(n)))
+    n, mat, phases = int(data["n"]), data["symplectic"], data["phases"]
+    if len(mat) != 2 * n or any(len(r) != 2 * n or not set(r) <= {0, 1} for r in mat):
+        raise ValueError(f"symplectic must be a {2 * n} x {2 * n} matrix of 0/1 bits")
+    rows = (sum(int(b) << 2 * n - 1 - i for i, b in enumerate(r)) for r in mat)
+    imgs = [paulialg.from_row(n, row, 2 * int(p)) for row, p in zip(rows, phases)]
+    c = CliffordTableau(n, tuple(imgs[:n]), tuple(imgs[n:]))
     check_tableau(c)
     return c

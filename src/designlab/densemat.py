@@ -334,8 +334,8 @@ def pauli_ensemble(n: int) -> Ensemble:
 def pauli_x_ensemble(n: int) -> Ensemble:
     """Uniform over the 2^n tensor products of I and X (bit-flip strings)."""
     # qubit 0 varies fastest: element m carries X on qubit j iff bit j of m is set
-    els = [paulialg.from_symplectic(xs[::-1] + (0,) * n)
-           for xs in itertools.product((0, 1), repeat=n)]
+    els = [paulialg.from_label("".join("IX"[m >> j & 1] for j in range(n)))
+           for m in range(2**n)]
     w = (1.0 / len(els),) * len(els)
     return Ensemble("pauli-x", 2**n, weights=w, elements=tuple(els))
 
@@ -496,7 +496,16 @@ def matrix_to_json(m: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, dtype=complex)]
 
 
+def _is_number_pair(v) -> bool:
+    return isinstance(v, list) and len(v) == 2 and all(isinstance(x, (int, float)) for x in v)
+
+
 def matrix_from_json(data: list) -> np.ndarray:
+    """The square complex matrix of matrix_to_json: rows of [re, im] pairs."""
+    if not (isinstance(data, list) and data and all(
+            isinstance(row, list) and len(row) == len(data) and all(map(_is_number_pair, row))
+            for row in data)):
+        raise ValueError("matrix must be a square list of rows of [re, im] number pairs")
     return np.array([[complex(re, im) for re, im in row] for row in data])
 
 

@@ -9,8 +9,9 @@ I, X, Y, Z selected by the bit pair ``(x_j, z_j)``:
 The x and z bits are held as two Python ints, qubit j at bit n-1-j, so a
 label read as a binary number ("XIZY" -> x = 0b1001, z = 0b0011) gives the
 masks. Only this module knows that layout: other modules read and build
-Paulis through labels, the constructors below and the symplectic-row pair
-`to_symplectic` / `from_symplectic`.
+Paulis through labels, the constructors below and the packed GF(2) row
+pair `to_row` / `from_row`: one int x << n | z per Pauli, whose symplectic
+inner product is `row_product`.
 
 All products, commutators and traces are computed exactly over the integers;
 no dense matrices are built here (dense conversion lives in densemat).
@@ -117,22 +118,20 @@ def embed(p: PauliString, n: int, qubits) -> PauliString:
     return PauliString(n, x, z, p.phase)
 
 
-def to_symplectic(p: PauliString) -> tuple[int, ...]:
-    """The length-2n GF(2) row (x_1 .. x_n | z_1 .. z_n) of p; phase dropped."""
-    shifts = range(p.n - 1, -1, -1)
-    return tuple(p.x >> b & 1 for b in shifts) + tuple(p.z >> b & 1 for b in shifts)
+def to_row(p: PauliString) -> int:
+    """The packed GF(2) row x << n | z of p, i.e. (x_1 .. x_n | z_1 .. z_n)
+    with x_1 at the top bit; phase dropped."""
+    return p.x << p.n | p.z
 
 
-def from_symplectic(row, phase: int = 0) -> PauliString:
-    """The Pauli i**phase * P with symplectic row (x_1 .. x_n | z_1 .. z_n)."""
-    bits = [int(v) for v in row]
-    if len(bits) % 2 or any(b not in (0, 1) for b in bits):
-        raise ValueError("a symplectic row holds 2n bits, each 0 or 1")
-    n = len(bits) // 2
-    x = z = 0
-    for xb, zb in zip(bits[:n], bits[n:]):
-        x, z = x << 1 | xb, z << 1 | zb
-    return PauliString(n, x, z, phase)
+def from_row(n: int, row: int, phase: int = 0) -> PauliString:
+    """The Pauli i**phase * P with packed row `row` (the inverse of to_row)."""
+    return PauliString(n, row >> n, row & ((1 << n) - 1), phase)
+
+
+def row_product(u: int, v: int, n: int) -> int:
+    """Symplectic inner product of two packed rows: 1 iff they anticommute."""
+    return ((u >> n & v) ^ (u & v >> n)).bit_count() & 1
 
 
 def signed(p: PauliString, sign: int) -> PauliString:
@@ -184,8 +183,9 @@ def apply_images(p: PauliString, images) -> PauliString:
     is that scalar times the ordered product of the generator images.
     """
     out = identity(p.n)
-    for bit, img in zip(to_symplectic(p), images):
-        if bit:
+    row, top = to_row(p), 2 * p.n - 1
+    for j, img in enumerate(images):
+        if (row >> (top - j)) & 1:
             out = mul(out, img)
     return PauliString(p.n, out.x, out.z, (out.phase + p.phase + (p.x & p.z).bit_count()) % 4)
 

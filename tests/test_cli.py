@@ -343,9 +343,35 @@ class TestEdgeInputs:
         "bounds --f 2 --k 1 --n 2 --g 1 --q 2",
         "bounds --f 2 --k 1 --n 2 --choices 1",
         "bounds --f 2 --k 1 --n 2 --choices 0.5",
+        # a qubit count below 1, which 2**n used to turn into a float or a bad shift
+        "framepot --ensemble pauli --n -1 --k 1 --exact",
+        "framepot --ensemble trivial --n -2 --k 1 --exact",
+        "oto --ensemble clifford --n 0",
+        "oto --ensemble haar --n -1 --samples 10 --seed 1",
     ])
     def test_is_a_config_error(self, capsys, argv):
         assert_config_error(capsys, *argv.split())
+
+    # a partition item that used to be overwritten, dropped or misreported
+    @pytest.mark.parametrize("partition,item", [
+        ("A=0;A=1;Q=3", "'A=1'"), ("A=0;Q=1", "'Q=1'"), ("A0", "'A0'"), ("D=1;A=x", "'A=x'"),
+    ])
+    def test_bad_partition_item_is_named(self, capsys, partition, item):
+        err = assert_config_error(capsys, "scramble", "--n", "2", "--partition", partition)
+        assert f"bad partition item {item}" in err
+
+    @pytest.mark.parametrize("content", [
+        {"matrix": [[1, 0], [0, 1]]},                       # entries are not [re, im] pairs
+        [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],               # a list, not an object
+        {"matrix": [[[1, 0], [0, 0]], [[0, 0]]]},           # ragged rows
+        {"matrix": [[[1, 0], [0, 0]], [[0, 0], [1, "0"]]]},  # a part that is not a number
+        {"unitary": []},                                    # no matrix
+    ])
+    def test_malformed_unitary_file(self, capsys, tmp_path, content):
+        path = tmp_path / "u.json"
+        path.write_text(json.dumps(content))
+        assert_config_error(capsys, "scramble", "--unitary", str(path), "--n", "1",
+                            "--partition", "A=0;D=0")
 
 
 class TestVerifyCommand:

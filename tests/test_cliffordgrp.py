@@ -1,6 +1,7 @@
 """Tests for Clifford tableaux: conjugation, sampling, enumeration, dense unitaries."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -193,7 +194,7 @@ class TestRandomClifford:
         for n in (1, 2, 3):
             for _ in range(20):
                 c = cg.random_clifford(n, rng)
-                assert cg.is_symplectic(c.symplectic_matrix())
+                assert cg.is_symplectic(c)
 
     def test_uniform_over_24(self):
         # chi-square over the 24 single-qubit elements, 1e5 draws, p > 0.001
@@ -219,6 +220,23 @@ class TestRandomClifford:
         sigma = np.sqrt(n_draws * (1 / 3) * (2 / 3))
         for lbl in "XYZ":
             assert abs(counts[lbl] - n_draws / 3) < 5 * sigma
+
+    def test_draws_are_pinned(self):
+        # sha256 of seeded draws, inverses, pair traces and the rng state after
+        # them, recorded before tableau rows became packed ints: the same seed
+        # gives the same tableaux and consumes the same random numbers
+        h = hashlib.sha256()
+        rng = np.random.default_rng(20240611)
+        for n, draws in ((1, 40), (2, 40), (3, 30), (5, 20), (20, 4)):
+            for _ in range(draws):
+                c = cg.random_clifford(n, rng)
+                h.update(c.key())
+                if n <= 5:
+                    c2 = cg.random_clifford(n, rng)
+                    h.update(cg.inverse(c).key())
+                    h.update(b"%d;%d;" % (cg.trace_sq(c, c2), cg.trace_sq(c)))
+        h.update(rng.bytes(8))
+        assert h.hexdigest() == "50ccccfc402b7bcfd82f7f2c40744c0efa05d1256f45d1b3f3bfa3269dcc365c"
 
     def test_seed_determinism(self):
         a = [cg.random_clifford(3, np.random.default_rng(11)).key() for _ in range(5)]
@@ -332,3 +350,21 @@ class TestGroupStructure:
             c = cg.random_clifford(2, rng)
             c2 = cg.tableau_from_json(cg.tableau_to_json(c))
             assert c2.key() == c.key()
+
+    def test_json_matrix_layout(self):
+        data = cg.tableau_to_json(cg.phase_gate_tableau(1, 0))
+        assert data == {"n": 1, "symplectic": [[1, 1], [0, 1]], "phases": [1, 0]}
+
+    @pytest.mark.parametrize("mat", [
+        [[0, 1], [1, 0], [0, 0]],  # wrong shape
+        [[0, 1, 0], [1, 0, 0]],    # wrong shape
+        [[0, 2], [1, 0]],          # a bit outside {0, 1}
+        [[0, 1], [1]],             # ragged rows
+    ])
+    def test_json_rejects_malformed_matrices(self, mat):
+        with pytest.raises(ValueError):
+            cg.tableau_from_json({"n": 1, "symplectic": mat, "phases": [0, 0]})
+
+    def test_json_rejects_non_symplectic_matrices(self):
+        with pytest.raises(ValueError, match="symplectic"):
+            cg.tableau_from_json({"n": 1, "symplectic": [[1, 0], [1, 0]], "phases": [0, 0]})

@@ -235,8 +235,9 @@ class TestLabels:
             assert from_label(p.label()) == p
 
     def test_leftmost_is_qubit_zero(self):
-        assert paulialg.to_symplectic(from_label("XI")) == (1, 0, 0, 0)
-        assert paulialg.to_symplectic(from_label("IZY")) == (0, 0, 1, 0, 1, 1)
+        # the packed row is (x_1 .. x_n | z_1 .. z_n) with x_1 at the top bit
+        assert paulialg.to_row(from_label("XI")) == 0b10_00
+        assert paulialg.to_row(from_label("IZY")) == 0b001_011
 
     def test_letters_ignore_the_phase(self):
         assert mul(Z, X).letters() == "Y"
@@ -254,14 +255,21 @@ class TestLabels:
 class TestSymplecticRows:
     def test_roundtrip_with_phase(self):
         for p in enumerate_paulis(2):
-            row = paulialg.to_symplectic(p)
-            assert paulialg.from_symplectic(row) == p
-            assert paulialg.from_symplectic(row, 3) == dataclasses.replace(p, phase=3)
+            row = paulialg.to_row(p)
+            assert paulialg.from_row(2, row) == p
+            assert paulialg.from_row(2, row, 3) == dataclasses.replace(p, phase=3)
 
-    @pytest.mark.parametrize("row", [(), (1,), (0, 2), (1, 0, 1)])
+    # (n, packed row): no qubits, and rows that do not fit in 2n bits
+    @pytest.mark.parametrize("row", [(0, 0), (1, 4), (1, -1), (2, 16)])
     def test_rejects_malformed_rows(self, row):
         with pytest.raises(ValueError):
-            paulialg.from_symplectic(row)
+            paulialg.from_row(*row)
+
+    def test_row_product_is_anticommutation(self):
+        ps = enumerate_paulis(2)
+        for p, q in itertools.product(ps, ps):
+            want = 0 if commutes(p, q) else 1
+            assert paulialg.row_product(paulialg.to_row(p), paulialg.to_row(q), 2) == want
 
     def test_embed(self):
         p = dataclasses.replace(from_label("XY"), phase=1)
