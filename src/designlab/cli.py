@@ -34,8 +34,6 @@ EXIT_CONFIG = 2
 
 def build_ensemble(name: str, n: int, seed: int | None, depth: int = 4,
                    t: float = 1.0) -> dm.Ensemble:
-    if n < 1:
-        raise ValueError(f"--n must be at least 1, got {n}")
     d = 2**n
     if name == "haar":
         return dm.haar_ensemble(d, seed)
@@ -563,6 +561,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0,) else 0
     try:
+        # every qubit count, whatever the subcommand, before 2**n is taken
+        if getattr(args, "n", 1) < 1:
+            raise ValueError(f"--n must be at least 1, got {args.n}")
         # numpy overflow raises here rather than warn and carry an infinity on
         with np.errstate(over="raise"):
             return args.func(args)

@@ -18,7 +18,8 @@ ensembles, a list for Clifford tableaux. `Ensemble.average` streams one
 generator in chunks of MC_CHUNK draws and evaluates its integrand on each
 chunk, keeping only the values, so a Monte-Carlo average holds at most
 MC_CHUNK draws (MC_CHUNK d^2 complex numbers) and their integrand's
-temporaries at a time, whatever the sample count.
+temporaries at a time, whatever the sample count. A brickwork chunk also
+holds the temporaries of up to MC_CHUNK // 4 = 16 circuits being assembled.
 """
 
 from __future__ import annotations
@@ -370,7 +371,14 @@ def brickwork_ensemble(n: int, depth: int, seed: int | None = None) -> Ensemble:
     nearest-neighbour pairings (open boundary), each layer made of fresh
     independent Haar 2-qubit gates. The gate arrangement is a modeling
     choice; nothing here depends on it beyond nearest-neighbour locality.
-    Circuits are assembled one at a time and stacked.
+
+    A draw of `size` circuits takes all their gates from one `haar_unitary`
+    stack, circuit-major in layer order. Circuits are assembled in stacks of
+    at most MC_CHUNK // 4: each gate is written into a zeroed stack as
+    I (x) g (x) I by index, and whole stacks are multiplied, each gate onto
+    its layer and each layer onto the circuit, skipping the products by the
+    identity. Every product is the one a circuit-at-a-time loop of `kron`
+    embeddings would make, so the draws are the same bit for bit.
     """
     if n < 2:
         raise ValueError("brickwork needs at least 2 qubits")
@@ -379,28 +387,38 @@ def brickwork_ensemble(n: int, depth: int, seed: int | None = None) -> Ensemble:
     d = 2**n
     if d > DENSE_GUARD:
         raise ValueError(f"dense guard exceeded: d={d} > {DENSE_GUARD}")
+    layers = [range(layer % 2, n - 1, 2) for layer in range(depth)]
+    n_gates = sum(map(len, layers))
+    # I_(2^a) (x) g (x) I_r, r = 2^(n-a-2), holds g[i, j] at row (l, i, s)
+    # and column (l, j, s): (2^a, 4, 4, r) index grids, one pair per a
+    embed = []
+    for a in range(n - 1):
+        r = 2 ** (n - a - 2)
+        base = np.arange(2**a)[:, None, None, None] * 4 * r + np.arange(r)
+        embed.append((base + np.arange(0, 4 * r, r)[:, None, None],
+                      base + np.arange(0, 4 * r, r)[:, None]))
 
-    def circuit(rng):
-        u = np.eye(d, dtype=complex)
-        for layer in range(depth):
-            start = 0 if layer % 2 == 0 else 1
-            layer_u = np.eye(d, dtype=complex)
-            for a in range(start, n - 1, 2):
-                g = haar_unitary(4, rng)
-                full = _embed_two_qubit(g, a, n)
-                layer_u = full @ layer_u
-            u = layer_u @ u
-        return u
+    def sampler(rng, size):
+        stack = haar_unitary(4, rng, (size, n_gates))  # circuit-major gate order
+        out = np.empty((size, d, d), dtype=complex)
+        for lo in range(0, size, MC_CHUNK // 4):
+            sub = stack[lo:lo + MC_CHUNK // 4]
+            gates = iter(np.moveaxis(sub, 1, 0))
+            u = None
+            for layer in layers:
+                layer_u = None
+                for a in layer:
+                    full = np.zeros((len(sub), d, d), dtype=complex)
+                    rows, cols = embed[a]
+                    full[:, rows, cols] = next(gates)[:, None, :, :, None]
+                    layer_u = full if layer_u is None else full @ layer_u
+                if layer_u is not None:
+                    u = layer_u if u is None else layer_u @ u
+            out[lo:lo + len(sub)] = u
+        return out
 
-    return Ensemble("brickwork", d, sampler=lambda rng, size: np.stack(
-        [circuit(rng) for _ in range(size)]), seed=seed, params={"n": n, "depth": depth})
-
-
-def _embed_two_qubit(g: np.ndarray, a: int, n: int) -> np.ndarray:
-    """Embed a 2-qubit gate acting on adjacent qubits (a, a+1)."""
-    left = np.eye(2**a, dtype=complex)
-    right = np.eye(2 ** (n - a - 2), dtype=complex)
-    return np.kron(np.kron(left, g), right)
+    return Ensemble("brickwork", d, sampler=sampler, seed=seed,
+                    params={"n": n, "depth": depth})
 
 
 # ---------------------------------------------------------------------------

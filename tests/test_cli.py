@@ -348,9 +348,27 @@ class TestEdgeInputs:
         "framepot --ensemble trivial --n -2 --k 1 --exact",
         "oto --ensemble clifford --n 0",
         "oto --ensemble haar --n -1 --samples 10 --seed 1",
+        "thermal --n 0 --beta 0 --t 1 --k 1 --samples 10 --seed 1",
+        "thermal --n -1",
+        "bounds --f 2 --k 2 --n 0",
+        "bounds --f 2 --k 2 --n -3",
+        "scramble --n 0",
+        "scramble --n -1",
     ])
     def test_is_a_config_error(self, capsys, argv):
         assert_config_error(capsys, *argv.split())
+
+    @pytest.mark.parametrize("argv", [
+        "framepot --ensemble pauli --n 0 --k 1 --exact",
+        "oto --ensemble clifford --n -1",
+        "thermal --n 0 --beta 0 --t 1 --k 1 --samples 10 --seed 1",
+        "bounds --f 2 --k 2 --n -3",
+        "scramble --n 0",
+    ])
+    def test_qubit_count_has_one_message(self, capsys, argv):
+        n = argv.split()[argv.split().index("--n") + 1]
+        err = assert_config_error(capsys, *argv.split())
+        assert err == f"error: --n must be at least 1, got {n}\n"
 
     # a partition item that used to be overwritten, dropped or misreported
     @pytest.mark.parametrize("partition,item", [
@@ -388,9 +406,10 @@ class TestVerifyCommand:
 
 class TestGoldenReports:
     """sha256 of report bytes recorded at earlier commits: the first six
-    before the ensemble averages were merged into Ensemble.average, the last
-    two before Clifford pair traces moved to the GF(2) kernel. Every seeded
-    report stays byte-identical."""
+    before the ensemble averages were merged into Ensemble.average, the next
+    two before Clifford pair traces moved to the GF(2) kernel, the last three
+    before brickwork circuits were assembled as stacks. Every seeded report
+    stays byte-identical."""
 
     @pytest.mark.parametrize("argv,sha256", [
         ("framepot --ensemble haar --n 2 --k 2 --samples 2000 --seed 1",
@@ -409,6 +428,12 @@ class TestGoldenReports:
          "a66ca73206ae44b8516c826f866a116ae52b67653b2d012a2eb01e7b213a73ff"),
         ("verify --suite full",
          "9ae47be034ce59186abb22c6ce458154c0bfbcfe0e72eb5697f107009c34ad63"),
+        ("framepot --ensemble brickwork --n 5 --depth 4 --k 2 --samples 200 --seed 2",
+         "2e6cbadc94d9535ac37d40efc0c4dbc6ff25a9fedc288c742100bc2442ef6db3"),
+        ("framepot --ensemble brickwork --n 2 --depth 3 --k 2 --samples 100 --seed 5",
+         "4c0615d0ef8df9f0eba5ecf502b335df16f002ce6236c24bead5464518c16bf8"),
+        ("oto --ensemble brickwork --n 3 --depth 3 --kind oto4 --samples 500 --seed 4",
+         "44684aa19f3062b2eedd445bf47f73041603713999e44671ed903084ba2a2523"),
     ])
     def test_report_bytes(self, capsys, argv, sha256):
         code, out = run(capsys, *argv.split())

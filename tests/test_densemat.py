@@ -27,6 +27,26 @@ def two_sample_ks(a, b):
     return np.max(np.abs(fa - fb))
 
 
+def embed_two_qubit(g, a, n):
+    """I_(2^a) (x) g (x) I_(2^(n-a-2)): a 2-qubit gate on adjacent qubits (a, a+1)."""
+    left = np.eye(2**a, dtype=complex)
+    right = np.eye(2 ** (n - a - 2), dtype=complex)
+    return np.kron(np.kron(left, g), right)
+
+
+def brickwork_circuit(n, depth, rng):
+    """One brickwork circuit the slow way: one gate draw, two krons and two
+    2-D products by the running layer per gate, starting from the identity."""
+    d = 2**n
+    u = np.eye(d, dtype=complex)
+    for layer in range(depth):
+        layer_u = np.eye(d, dtype=complex)
+        for a in range(layer % 2, n - 1, 2):
+            layer_u = embed_two_qubit(dm.haar_unitary(4, rng), a, n) @ layer_u
+        u = layer_u @ u
+    return u
+
+
 class TestHaarUnitary:
     def test_unitarity_many_draws(self):
         rng = np.random.default_rng(0)
@@ -122,6 +142,19 @@ class TestStackedDraws:
         want = [(vecs * np.exp(-1j * evals * rng.uniform(0.0, 3.0))) @ vecs.conj().T
                 for _ in range(9)]
         assert np.array_equal(dm.hamiltonian_evolution_ensemble(h, 3.0).sample_block(5, 9), want)
+
+    # the brickwork sampler draws a chunk's gates in one stack, embeds them by
+    # index and multiplies stacks of at most MC_CHUNK // 4 circuits: it must be
+    # the circuit-at-a-time oracle bit for bit, across the sub-stack boundary
+    @pytest.mark.parametrize("n,depth", [(2, 1), (2, 3), (3, 1), (3, 4), (5, 5), (6, 6),
+                                         (7, 3)])
+    @pytest.mark.parametrize("size", [1, 16, 17, 64])
+    def test_brickwork_is_the_circuit_at_a_time_oracle(self, n, depth, size):
+        stacked_rng, single_rng = (np.random.default_rng([n, depth]) for _ in range(2))
+        stack = dm.brickwork_ensemble(n, depth).sampler(stacked_rng, size)
+        singles = np.stack([brickwork_circuit(n, depth, single_rng) for _ in range(size)])
+        assert stack.tobytes() == singles.tobytes()
+        assert stacked_rng.bit_generator.state == single_rng.bit_generator.state
 
 
 class TestGue:
