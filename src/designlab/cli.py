@@ -297,7 +297,7 @@ def cmd_scramble(args) -> int:
         "partition": args.partition,
         "lhs": lhs, "rhs": rhs, "value": lhs, "std_error": 0.0,
         "reference": rhs, "abs_deviation": abs(lhs - rhs),
-        "mutual_info_2": scrambling.mutual_info_2(u, part),
+        "mutual_info_2": scrambling.mutual_info_2(u, part, lhs if args.k == 2 else None),
         "reference_formula": "(d/(d_A d_D))^(k-1) 2^(-(k-1) S_k(AC))",
     }
     ok = abs(lhs - rhs) <= 1e-8
@@ -371,14 +371,17 @@ def _verify_checks(quick: bool):
     yield ("Pauli F1 (n=1)", fp.frame_potential_exact(dm.pauli_ensemble(1), 1).value, 1.0, 1e-12)
     yield ("Pauli F2 (n=1)", fp.frame_potential_exact(dm.pauli_ensemble(1), 2).value, 4.0, 1e-12)
     cl = cg.clifford_ensemble(1)
-    yield ("Clifford F2 (n=1)", fp.frame_potential_exact(cl, 2).value, 2.0, 1e-12)
+    cl_f2 = fp.frame_potential_exact(cl, 2).value
+    yield ("Clifford F2 (n=1)", cl_f2, 2.0, 1e-12)
     yield ("Clifford F3 (n=1)", fp.frame_potential_exact(cl, 3).value, 5.0, 1e-12)
     yield ("Clifford F4 (n=1)", fp.frame_potential_exact(cl, 4).value, 15.0, 1e-12)
     # OTO <-> frame potential route
-    for ens, k in [(dm.trivial_ensemble(1), 1), (dm.pauli_ensemble(1), 1), (cl, 2)]:
+    for ens, k in [(dm.trivial_ensemble(1), 1), (dm.pauli_ensemble(1), 1)]:
         via = fp.frame_potential_via_oto(ens, k).value
         exact = fp.frame_potential_exact(ens, k).value
         yield (f"OTO route == exact ({ens.label}, k={k})", via, exact, 1e-10)
+    cl_via2 = fp.frame_potential_via_oto(cl, 2).value
+    yield ("OTO route == exact (clifford, k=2)", cl_via2, cl_f2, 1e-10)
     # M tensor orthogonality
     mt = otolab.m_tensor(1, 2)
     dev = np.max(np.abs(mt.conj().T @ mt - 16 * np.eye(16)))
@@ -416,9 +419,7 @@ def _verify_checks(quick: bool):
     if not quick:
         lhs3, rhs3 = scrambling.renyi_k_oto(u, part, 3)
         yield ("Renyi-3 identity (n=2)", lhs3, rhs3, 1e-8)
-        yield ("Clifford F2 via OTO route (n=1)",
-               fp.frame_potential_via_oto(cl, 2).value,
-               fp.frame_potential_exact(cl, 2).value, 1e-10)
+        yield ("Clifford F2 via OTO route (n=1)", cl_via2, cl_f2, 1e-10)
         est_mc = fp.frame_potential_mc(dm.haar_ensemble(2, seed=7), 1, 4000)
         yield ("Haar MC F1 (d=2, 5 sigma)", est_mc.value, 1.0, 5 * est_mc.std_error)
         ens4 = dm.haar_ensemble(4, seed=8)

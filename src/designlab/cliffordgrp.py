@@ -86,6 +86,12 @@ def conjugate_pauli(c: CliffordTableau, p: PauliString) -> PauliString:
     return paulialg.apply_images(p, c.x_images + c.z_images)
 
 
+def _image_ints(c: CliffordTableau) -> list[tuple[int, int, int]]:
+    """The 2n generator images as the (x, z, phase) ints of paulialg's
+    product kernel, X images first."""
+    return [paulialg._ints(img) for img in c.x_images + c.z_images]
+
+
 def identity_tableau(n: int) -> CliffordTableau:
     xs = tuple(paulialg.single_site(n, j, "X") for j in range(n))
     zs = tuple(paulialg.single_site(n, j, "Z") for j in range(n))
@@ -171,6 +177,7 @@ def trace_sq(c: CliffordTableau, ref: CliffordTableau | None = None) -> int:
         ref = identity_tableau(c.n)
     if ref.n != c.n:
         raise ValueError("qubit count mismatch")
+    images_a, images_b = _image_ints(ref), _image_ints(c)
     pivots: dict[int, tuple[int, int]] = {}  # leading bit -> (row, combination)
     dim = 0
     for j, (row_a, row_b) in enumerate(zip(ref.rows(), c.rows())):
@@ -183,8 +190,8 @@ def trace_sq(c: CliffordTableau, ref: CliffordTableau | None = None) -> int:
             row ^= pivots[lead][0]
             comb ^= pivots[lead][1]
         else:  # comb is the symplectic row of a new basis vector of K
-            q = paulialg.from_row(c.n, comb)
-            if conjugate_pauli(c, q).phase != conjugate_pauli(ref, q).phase:
+            phase_a = paulialg._apply(images_a, comb, 0, c.n)[2]
+            if paulialg._apply(images_b, comb, 0, c.n)[2] != phase_a:
                 return 0
             dim += 1
     return 1 << dim

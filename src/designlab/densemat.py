@@ -15,11 +15,13 @@ is bit for bit the sequence of one-at-a-time draws from the same generator,
 and leaves the generator in the same state. An ensemble sampler is
 `sampler(rng, size) -> size draws`: a (size, d, d) stack for dense
 ensembles, a list for Clifford tableaux. `Ensemble.average` streams one
-generator in chunks of MC_CHUNK draws and evaluates its integrand on each
-chunk, keeping only the values, so a Monte-Carlo average holds at most
-MC_CHUNK draws (MC_CHUNK d^2 complex numbers) and their integrand's
-temporaries at a time, whatever the sample count. A brickwork chunk also
-holds the temporaries of up to MC_CHUNK // 4 = 16 circuits being assembled.
+generator in chunks of `chunk_size(d)` draws and evaluates its integrand on
+each chunk, keeping only the values, so a Monte-Carlo average holds one
+chunk and its integrand's temporaries at a time, whatever the sample count.
+A chunk is MC_CHUNK draws, or fewer from d = 512 on, so that its d^2
+complex numbers per draw stay within CHUNK_BYTES (64 MiB); the budget
+counts Clifford tableaux as d x d draws too. A brickwork chunk also holds
+the temporaries of up to MC_CHUNK // 4 = 16 circuits being assembled.
 """
 
 from __future__ import annotations
@@ -39,6 +41,14 @@ from .paulialg import PauliString
 DENSE_GUARD = 4096  # largest matrix side constructed anywhere
 UNITARY_TOL = 1e-10
 MC_CHUNK = 64  # draws per chunk of a streamed average; even, so chunks hold whole pairs
+CHUNK_BYTES = 2**26  # d x d complex draws one chunk may hold: all MC_CHUNK up to d = 256
+
+
+def chunk_size(d: int) -> int:
+    """Draws per chunk of a stream of d x d draws: MC_CHUNK, or fewer once
+    they would pass CHUNK_BYTES as complex matrices (from d = 512 on); even
+    and at least 2, so chunks hold whole pairs."""
+    return max(2, min(MC_CHUNK, CHUNK_BYTES // (16 * d * d)) // 2 * 2)
 
 
 def dagger(u: np.ndarray) -> np.ndarray:
@@ -109,12 +119,45 @@ _SIGMA = {
 }
 
 
+def _kron_tables():
+    """Tables that give pauli_to_dense the bytes of kron(s_1, ..., s_n).
+
+    Entry (r, c) of that chain is 1 times one entry of each letter's matrix,
+    multiplied in qubit order. The products take few values, but the signs
+    of their zeros depend on the factors and their order (Z (x) I holds
+    -0.0), so no formula for the signed permutation gives the same bytes.
+    Instead: entry[letter] indexes the distinct entries of the four matrices,
+    and values[step[v, f]] is values[v] times entry f as kron multiplies it.
+    """
+    factors: dict[bytes, int] = {}
+    entry = {letter: np.array([[factors.setdefault(v.tobytes(), len(factors)) for v in row]
+                               for row in m]) for letter, m in _SIGMA.items()}
+    factor_values = np.frombuffer(b"".join(factors), dtype=complex)
+    values = [np.complex128(1)]
+    seen = {values[0].tobytes(): 0}
+    step = []
+    for v in values:  # grows to the closure of 1 under the entries
+        step.append([])
+        for w in np.kron([v], factor_values):
+            step[-1].append(seen.setdefault(w.tobytes(), len(values)))
+            if step[-1][-1] == len(values):
+                values.append(w)
+    return np.array(values), np.array(step, dtype=np.uint8), entry
+
+
+_VALUES, _STEP, _ENTRY = _kron_tables()
+
+
 def pauli_to_dense(p: PauliString) -> np.ndarray:
-    """Dense matrix of a PauliString, phase included."""
-    m = np.array([[1]], dtype=complex)
+    """Dense matrix of a PauliString, phase included: i**phase times the
+    kron chain of its letters' matrices, byte for byte, built by index. Each
+    qubit refines the (r, c) table indices; one gather then reads the
+    values, so no complex product is formed before the phase."""
+    idx = np.zeros((1, 1), dtype=np.uint8)
     for letter in p.letters():
-        m = np.kron(m, _SIGMA[letter])
-    return (1j**p.phase) * m
+        m = len(idx)
+        idx = _STEP[idx[:, None, :, None], _ENTRY[letter][None, :, None, :]].reshape(2 * m, 2 * m)
+    return (1j**p.phase) * _VALUES[idx]
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +320,12 @@ class Ensemble:
         return self.sampler(np.random.default_rng([seed, block]), count)
 
     def stream(self, seed: int, count: int):
-        """The draws of block (seed, 0) in chunks of at most MC_CHUNK: the
+        """The draws of block (seed, 0) in chunks of chunk_size(dim): the
         same draws as sample_block(seed, count), never all held at once."""
         rng = np.random.default_rng([seed, 0])
-        for lo in range(0, count, MC_CHUNK):
-            yield self.sampler(rng, min(MC_CHUNK, count - lo))
+        size = chunk_size(self.dim)
+        for lo in range(0, count, size):
+            yield self.sampler(rng, min(size, count - lo))
 
     def average(self, f: Callable, *, pairs: bool = False,
                 mc_samples: int | None = None, seed: int | None = None) -> Estimate:

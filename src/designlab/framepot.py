@@ -10,6 +10,7 @@ early-time growth) that frame potentials imply.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -21,7 +22,7 @@ from .cliffordgrp import CliffordTableau, trace_sq
 from .densemat import (MC_CHUNK, Ensemble, check_mc_samples, check_state, dagger,
                        element_to_matrix, mc_estimate, trace)
 from .estimate import Estimate
-from .otolab import OtoSpec, oto_ensemble_average
+from .otolab import tabled_correlator
 from .paulialg import PauliString
 
 TAU_CHUNK = 8192  # tau values per block of the time average: bounds memory at TAU_CHUNK x d
@@ -89,10 +90,10 @@ def frame_potential_via_oto(ens: Ensemble, k: int) -> Estimate:
             |<A_1 B~_1 ... A_k B~_k>_ens|^2
 
     An independent oracle for frame_potential_exact; enumeration budget
-    limits it to small (n, k).
+    limits it to small (n, k). Each element conjugates the 4^n Paulis once
+    (otolab.tabled_correlator); the ensemble average of each tuple then sums
+    w * correlator in element order, as Ensemble.average does.
     """
-    import itertools
-
     if ens.kind != "discrete":
         raise ValueError("the OTO route enumerates exact ensemble averages; "
                          "discrete ensembles only")
@@ -101,10 +102,15 @@ def frame_potential_via_oto(ens: Ensemble, k: int) -> Estimate:
         raise ValueError("Pauli tuple budget exceeded")
     d = ens.dim
     paulis = paulialg.enumerate_paulis(n)
+    correlators = [tabled_correlator(el, paulis, paulis) for el in ens.elements]
+    codes = range(len(paulis))
     total = 0.0
-    for a_ops in itertools.product(paulis, repeat=k):
-        for b_ops in itertools.product(paulis, repeat=k):
-            total += abs(oto_ensemble_average(ens, OtoSpec(a_ops, b_ops)).value) ** 2
+    for a_idx in itertools.product(codes, repeat=k):
+        for b_idx in itertools.product(codes, repeat=k):
+            acc = 0
+            for w, corr in zip(ens.weights, correlators):
+                acc += w * corr(a_idx, b_idx)
+            total += abs(acc) ** 2
     value = total * d ** (2 * (k + 1)) / d ** (4 * k)
     return Estimate(value, 0.0, len(ens.elements) ** 2, method="exact")
 

@@ -95,20 +95,7 @@ class OtoSpec:
 def oto_correlator(u: np.ndarray, spec: OtoSpec):
     """(1/d) tr{A_1 U+ B_1 U ... } for a dense unitary (a complex), or for
     each unitary of a (..., d, d) stack (an array)."""
-    u = check_unitary(u)
-    d = 2**spec.n
-    if u.shape[-1] != d:
-        raise ValueError("unitary dimension does not match the operators")
-    if d > DENSE_GUARD:
-        raise ValueError("dense guard exceeded")
-    a_ops, b_ops = spec.expanded()
-    dense = {p: pauli_to_dense(p) for p in dict.fromkeys(a_ops + b_ops)}
-    u_dag = dagger(u)
-    acc = np.eye(d, dtype=complex)
-    for a, b in zip(a_ops, b_ops):
-        acc = acc @ dense[a] @ (u_dag @ dense[b] @ u)
-    values = trace(acc) / d
-    return complex(values) if u.ndim == 2 else values
+    return _word_correlator(u, *spec.expanded())
 
 
 def _conjugated_b(element, b: PauliString) -> PauliString:
@@ -122,12 +109,57 @@ def _conjugated_b(element, b: PauliString) -> PauliString:
 
 def oto_correlator_exact(element, spec: OtoSpec) -> complex:
     """Exact correlator for a Pauli or Clifford tableau element."""
-    a_ops, b_ops = spec.expanded()
-    factors = []
-    for a, b in zip(a_ops, b_ops):
-        factors.append(a)
-        factors.append(_conjugated_b(element, b))
-    return paulialg.trace_product(factors) / 2**spec.n
+    if not isinstance(element, (PauliString, CliffordTableau)):
+        raise TypeError(f"exact correlators need a Pauli or Clifford element, "
+                        f"got {type(element)!r}")
+    return _word_correlator(element, *spec.expanded())
+
+
+def _word_correlator(element, a_ops, b_ops):
+    """(1/d) tr{A_1 B~_1 ... A_k B~_k}, conjugating each distinct B once."""
+    a_list, b_list = list(dict.fromkeys(a_ops)), list(dict.fromkeys(b_ops))
+    corr = tabled_correlator(element, a_list, b_list)
+    return corr([a_list.index(a) for a in a_ops], [b_list.index(b) for b in b_ops])
+
+
+def tabled_correlator(element, a_list, b_list):
+    """The correlator of one element as a function of insertion indices:
+    corr(ai, bi) = (1/d) tr{A_1 B~_1 ... A_k B~_k} with A_j = a_list[ai[j]]
+    and B~_j = U^dag B U for B = b_list[bi[j]].
+
+    Every B~ is computed here, once: as exact (x, z, phase) ints for a Pauli
+    or Clifford element, whose words then multiply in paulialg's product
+    kernel with no PauliString built, and as dense matrices for a unitary or
+    a (..., d, d) stack of them, whose words multiply left to right.
+    """
+    n = a_list[0].n
+    d = 2**n
+    if isinstance(element, (PauliString, CliffordTableau)):
+        a_tab = [paulialg._ints(a) for a in a_list]
+        b_tab = [paulialg._ints(_conjugated_b(element, b)) for b in b_list]
+
+        def corr(ai, bi):
+            factors = []
+            for i, j in zip(ai, bi):
+                factors += (a_tab[i], b_tab[j])
+            return complex(*paulialg._trace(factors, n)) / d
+        return corr
+    u = check_unitary(element_to_matrix(element))
+    if u.shape[-1] != d:
+        raise ValueError("unitary dimension does not match the operators")
+    if d > DENSE_GUARD:
+        raise ValueError("dense guard exceeded")
+    u_dag = dagger(u)
+    a_tab = [pauli_to_dense(a) for a in a_list]
+    b_tab = [u_dag @ pauli_to_dense(b) @ u for b in b_list]
+
+    def corr(ai, bi):
+        acc = np.eye(d, dtype=complex)
+        for i, j in zip(ai, bi):
+            acc = acc @ a_tab[i] @ b_tab[j]
+        values = trace(acc) / d
+        return complex(values) if u.ndim == 2 else values
+    return corr
 
 
 def _element_correlator(element, spec: OtoSpec):

@@ -15,6 +15,9 @@ inner product is `row_product`.
 
 All products, commutators and traces are computed exactly over the integers;
 no dense matrices are built here (dense conversion lives in densemat).
+Products, traces of products and automorphism images all fold through one
+private kernel on the ints (x, z, phase), so a chain of factors builds a
+PauliString only for the value it returns.
 Everything is immutable and side-effect free, so values are safe to share
 across workers.
 """
@@ -144,19 +147,55 @@ def _check_same_n(p: PauliString, q: PauliString):
         raise ValueError(f"qubit count mismatch: {p.n} != {q.n}")
 
 
-def mul(p: PauliString, q: PauliString) -> PauliString:
-    """Exact product pq with phase tracking; bits are XORed.
+def _ints(p: PauliString) -> tuple[int, int, int]:
+    return p.x, p.z, p.phase
+
+
+def _product(factors, x: int = 0, z: int = 0, phase: int = 0) -> tuple[int, int, int]:
+    """The product kernel: i**phase * P(x, z) times each factor (x, z, phase)
+    in order, returned as the ints (x, z, phase) of the product.
 
     Phases are tracked through the X^x Z^z normal form: commuting a Z past an
     X on the same site costs a factor -1, and the Hermitian base absorbs one
-    factor of i per Y.
+    factor of i per Y. For one factor that is the formula
+    phase_p + phase_q + |x_p z_p| + |x_q z_q| + 2 |z_p x_q| - |x z|; along a
+    chain the -|x z| of one step cancels the +|x z| of the next, so only the
+    last is subtracted.
     """
+    omega = phase + (x & z).bit_count()
+    for fx, fz, fphase in factors:
+        omega += fphase + (fx & fz).bit_count() + 2 * (z & fx).bit_count()
+        x, z = x ^ fx, z ^ fz
+    return x, z, (omega - (x & z).bit_count()) % 4
+
+
+def _apply(images, row: int, phase: int, n: int) -> tuple[int, int, int]:
+    """i**phase times the Pauli with packed row `row`, under the automorphism
+    with X_j -> images[j] and Z_j -> images[n + j], as (x, z, phase) ints;
+    the images are (x, z, phase) ints too.
+
+    P = i^(phase + x.z) * prod_j X_j^{x_j} * prod_j Z_j^{z_j}, so its image
+    is that scalar times the ordered product of the generator images.
+    """
+    top, x, z = 2 * n - 1, row >> n, row & ((1 << n) - 1)
+    return _product((img for j, img in enumerate(images) if row >> (top - j) & 1),
+                    phase=phase + (x & z).bit_count())
+
+
+def _trace(factors, n: int) -> tuple[int, int]:
+    """Trace of the ordered product of (x, z, phase) factors on n qubits, as
+    an exact Gaussian integer (re, im)."""
+    x, z, phase = _product(factors)
+    if x | z:
+        return (0, 0)
+    d = 2**n
+    return [(d, 0), (0, d), (-d, 0), (0, -d)][phase]
+
+
+def mul(p: PauliString, q: PauliString) -> PauliString:
+    """Exact product pq with phase tracking; bits are XORed."""
     _check_same_n(p, q)
-    x, z = p.x ^ q.x, p.z ^ q.z
-    # Phase relative to the ordered product X^x Z^z on each site.
-    phase = (p.phase + q.phase + (p.x & p.z).bit_count() + (q.x & q.z).bit_count()
-             + 2 * (p.z & q.x).bit_count() - (x & z).bit_count()) % 4
-    return PauliString(p.n, x, z, phase)
+    return PauliString(p.n, *_product((_ints(q),), *_ints(p)))
 
 
 def commutes(p: PauliString, q: PauliString) -> bool:
@@ -177,17 +216,16 @@ def k_phase(p: PauliString, q: PauliString) -> int:
 
 
 def apply_images(p: PauliString, images) -> PauliString:
-    """p under the automorphism with X_j -> images[j], Z_j -> images[n + j].
+    """p under the automorphism with X_j -> images[j], Z_j -> images[n + j]."""
+    return PauliString(p.n, *_apply(_checked_ints([p, *images])[1:], to_row(p), p.phase, p.n))
 
-    p = i^(phase + x.z) * prod_j X_j^{x_j} * prod_j Z_j^{z_j}, so its image
-    is that scalar times the ordered product of the generator images.
-    """
-    out = identity(p.n)
-    row, top = to_row(p), 2 * p.n - 1
-    for j, img in enumerate(images):
-        if (row >> (top - j)) & 1:
-            out = mul(out, img)
-    return PauliString(p.n, out.x, out.z, (out.phase + p.phase + (p.x & p.z).bit_count()) % 4)
+
+def _checked_ints(factors) -> list[tuple[int, int, int]]:
+    """The (x, z, phase) ints of a nonempty list of PauliStrings on one
+    qubit count."""
+    for f in factors[1:]:
+        _check_same_n(factors[0], f)
+    return [_ints(f) for f in factors]
 
 
 def mul_all(factors) -> PauliString:
@@ -195,10 +233,7 @@ def mul_all(factors) -> PauliString:
     factors = list(factors)
     if not factors:
         raise ValueError("need at least one factor")
-    out = factors[0]
-    for f in factors[1:]:
-        out = mul(out, f)
-    return out
+    return PauliString(factors[0].n, *_product(_checked_ints(factors)))
 
 
 def trace_product_int(factors, n: int | None = None) -> tuple[int, int]:
@@ -208,11 +243,7 @@ def trace_product_int(factors, n: int | None = None) -> tuple[int, int]:
         if n is None:
             raise ValueError("empty product needs an explicit qubit count")
         return (2**n, 0)
-    prod = mul_all(factors)
-    if not prod.is_identity_bits:
-        return (0, 0)
-    d = 2**prod.n
-    return [(d, 0), (0, d), (-d, 0), (0, -d)][prod.phase]
+    return _trace(_checked_ints(factors), factors[0].n)
 
 
 def trace_product(factors, n: int | None = None) -> complex:

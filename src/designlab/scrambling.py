@@ -194,16 +194,18 @@ def renyi_k_oto(u: np.ndarray, part: IoPartition, k: int) -> tuple[float, float]
     return lhs, rhs
 
 
-def mutual_info_2(u: np.ndarray, part: IoPartition) -> float:
+def mutual_info_2(u: np.ndarray, part: IoPartition, lhs: float | None = None) -> float:
     """Renyi-2 mutual information I2(A:BD) from the Choi state; raises
     IdentityViolated unless it equals -log2 of the Pauli-averaged OTO
-    correlator within 1e-10."""
+    correlator within 1e-10. `lhs` is that average when the caller already
+    has it from oto_renyi2_check(u, part); otherwise it is computed here."""
     state = choi_state(u)
     s_a = renyi_entropy(_choi_marginal(state, part.a_qubits, ()), 2)
     s_bd = renyi_entropy(_choi_marginal(state, part.b_qubits, part.d_qubits), 2)
     s_abd = renyi_entropy(_choi_marginal(state, range(part.n), part.d_qubits), 2)
     info = s_a + s_bd - s_abd
-    lhs, _ = oto_renyi2_check(u, part)
+    if lhs is None:
+        lhs, _ = oto_renyi2_check(u, part)
     if abs(info - (-math.log2(lhs))) > 1e-10:
         raise IdentityViolated(
             f"Renyi-2 identity violated: I2 = {info}, -log2(avg) = {-math.log2(lhs)}")

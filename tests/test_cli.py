@@ -225,6 +225,16 @@ class TestScrambleCommand:
         assert code == 0
         assert json.loads(out)["passed"] is True
 
+    @pytest.mark.parametrize("k", ["2", "3"])
+    def test_renyi2_pauli_sum_runs_once(self, capsys, monkeypatch, k):
+        real, calls = cli.scrambling.oto_renyi2_check, []
+        monkeypatch.setattr(cli.scrambling, "oto_renyi2_check",
+                            lambda u, part: calls.append(1) or real(u, part))
+        code, out = run(capsys, "scramble", "--unitary", "haar", "--n", "3", "--k", k,
+                        "--partition", "A=0;D=2", "--seed", "5", "--check")
+        assert code == 0 and json.loads(out)["passed"] is True
+        assert len(calls) == 1
+
     def test_missed_renyi2_identity_is_a_failed_check(self, capsys, monkeypatch, tmp_path):
         # the Pauli-averaged correlator is off by 1%, as a near-unitary input can make it
         real = cli.scrambling.oto_renyi2_check
@@ -403,13 +413,30 @@ class TestVerifyCommand:
     def test_bad_config_exit_code(self, capsys):
         assert cli.main(["framepot", "--ensemble", "nope", "--n", "1", "--k", "1"]) == 2
 
+    @pytest.mark.parametrize("suite", ["quick", "full"])
+    def test_clifford_values_are_computed_once(self, capsys, monkeypatch, suite):
+        calls = []
+        for name in ("frame_potential_exact", "frame_potential_via_oto"):
+            def counted(ens, k, real=getattr(cli.fp, name), name=name):
+                calls.append((name, ens.label, k))
+                return real(ens, k)
+            monkeypatch.setattr(cli.fp, name, counted)
+        code, _ = run(capsys, "verify", "--suite", suite)
+        assert code == 0
+        clifford = [c for c in calls if c[1] == "clifford"]
+        assert sorted(clifford) == [("frame_potential_exact", "clifford", 2),
+                                    ("frame_potential_exact", "clifford", 3),
+                                    ("frame_potential_exact", "clifford", 4),
+                                    ("frame_potential_via_oto", "clifford", 2)]
+
 
 class TestGoldenReports:
     """sha256 of report bytes recorded at earlier commits: the first six
     before the ensemble averages were merged into Ensemble.average, the next
-    two before Clifford pair traces moved to the GF(2) kernel, the last three
-    before brickwork circuits were assembled as stacks. Every seeded report
-    stays byte-identical."""
+    two before Clifford pair traces moved to the GF(2) kernel, the next three
+    before brickwork circuits were assembled as stacks, the last eight before
+    Pauli products and Clifford conjugations moved to packed ints. Every
+    seeded report stays byte-identical."""
 
     @pytest.mark.parametrize("argv,sha256", [
         ("framepot --ensemble haar --n 2 --k 2 --samples 2000 --seed 1",
@@ -434,6 +461,22 @@ class TestGoldenReports:
          "4c0615d0ef8df9f0eba5ecf502b335df16f002ce6236c24bead5464518c16bf8"),
         ("oto --ensemble brickwork --n 3 --depth 3 --kind oto4 --samples 500 --seed 4",
          "44684aa19f3062b2eedd445bf47f73041603713999e44671ed903084ba2a2523"),
+        ("verify --suite quick",
+         "b5cde1773d68136738b93715fdc77f7e5767e421e186bcb8c14d108e7d1b4319"),
+        ("framepot --ensemble clifford --n 1 --k 2 --exact",
+         "460e6882f6af9947f242467613b3af6414d331a4649a3c3e5459bc0d228e8441"),
+        ("framepot --ensemble clifford --n 1 --k 4 --exact",
+         "85a63d51d3114b49d3b5330e8cc9096f289e9705dbe43c2862500989f788a14f"),
+        ("framepot --ensemble clifford --n 20 --k 1 --samples 10 --seed 6",
+         "cebe1e49eb0d40faf05e7aa826233c19bd8a091df98516f5b9ac743c076a6d36"),
+        ("oto --ensemble clifford --n 1 --kind oto4",
+         "9a6d0dcec1ef9540f418ff36638757088953f86bf31d88ca8869fa4896cc7fd2"),
+        ("oto --ensemble clifford --n 2 --kind commutator8 --samples 300 --seed 3",
+         "036c7e92c8c6ff8c5e1ba9d256e29c68f8b4b370a8591ab490e0b498a2f98d72"),
+        ("scramble --unitary haar --n 3 --k 2 --partition A=0,1;D=2 --seed 5",
+         "fa72cde6dece95a838ac2838cda1a37a2738f7f02bbc1cfdbc7473491abb1fee"),
+        ("scramble --unitary haar --n 3 --k 3 --partition A=0;D=2 --seed 5",
+         "ad704668ecf4c210d9b0934b969b5bda28cd838a75fde2a413ee615c6304aeb9"),
     ])
     def test_report_bytes(self, capsys, argv, sha256):
         code, out = run(capsys, *argv.split())

@@ -47,6 +47,40 @@ def brickwork_circuit(n, depth, rng):
     return u
 
 
+SIGMA = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def kron_chain(p):
+    """The Kronecker chain pauli_to_dense replaced, phase applied last."""
+    m = np.array([[1]], dtype=complex)
+    for letter in p.letters():
+        m = np.kron(m, SIGMA[letter])
+    return (1j**p.phase) * m
+
+
+class TestPauliToDense:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_bytes_equal_the_kron_chain(self, n):
+        # signed zeros included: Z (x) I holds -0.0, and so does every phase-2 Pauli
+        for p in paulialg.enumerate_paulis(n):
+            for phase in range(4):
+                q = paulialg.PauliString(n, p.x, p.z, phase)
+                assert dm.pauli_to_dense(q).tobytes() == kron_chain(q).tobytes(), q
+
+    def test_random_words_at_larger_n(self):
+        rng = np.random.default_rng(4)
+        for n in (4, 5, 6):
+            for _ in range(20):
+                p = paulialg.random_pauli(n, rng)
+                q = paulialg.PauliString(n, p.x, p.z, int(rng.integers(4)))
+                assert dm.pauli_to_dense(q).tobytes() == kron_chain(q).tobytes(), q
+
+
 class TestHaarUnitary:
     def test_unitarity_many_draws(self):
         rng = np.random.default_rng(0)
@@ -401,6 +435,45 @@ class TestStreamedAverage:
         ens = dm.Ensemble("recorded", 2, sampler=sampler)
         ens.average(lambda u: dm.trace(u).real, mc_samples=2 * self.CHUNK + 3, seed=1)
         assert sizes == [self.CHUNK, self.CHUNK, 3]
+
+    def test_chunk_size(self):
+        # MC_CHUNK up to d = 256; from d = 512 on, 64 MiB of complex draws
+        assert [dm.chunk_size(2**n) for n in range(1, 9)] == [self.CHUNK] * 8
+        assert [dm.chunk_size(2**n) for n in range(9, 13)] == [16, 4, 2, 2]
+        assert dm.chunk_size(2**20) == 2
+
+    def test_byte_budget_keeps_the_draws(self, monkeypatch):
+        d, count = 4, 2 * self.CHUNK + 3
+        states = []
+
+        def sampler(rng, size):
+            out = dm.haar_unitary(d, rng, size)
+            states.append(rng.bit_generator.state)
+            return out
+
+        ens = dm.Ensemble("recorded", d, sampler=sampler)
+        block = ens.sample_block(3, count)
+        monkeypatch.setattr(dm, "CHUNK_BYTES", 7 * 16 * d * d)  # 6 draws per chunk
+        chunks = list(ens.stream(3, count))
+        assert [len(c) for c in chunks] == [6] * (count // 6) + [count % 6]
+        assert np.concatenate(chunks).tobytes() == block.tobytes()
+        assert states[-1] == states[0]
+
+    @pytest.mark.parametrize("ens", [dm.haar_ensemble(4), dm.brickwork_ensemble(3, 2),
+                                     cg.clifford_ensemble(2)], ids=lambda ens: ens.label)
+    def test_byte_budget_keeps_the_estimates(self, monkeypatch, ens):
+        n = ens.dim.bit_length() - 1
+        x, z = paulialg.single_site(n, 0, "X"), paulialg.single_site(n, n - 1, "Z")
+
+        def estimates():
+            return (fp.frame_potential_mc(ens, 2, 45, seed=8),
+                    otolab.oto_ensemble_average(ens, OtoSpec((x, x), (z, z)),
+                                                mc_samples=45, seed=8))
+
+        want = estimates()
+        monkeypatch.setattr(dm, "CHUNK_BYTES", 16 * ens.dim**2 * 4)  # 4 draws per chunk
+        assert dm.chunk_size(ens.dim) == 4
+        assert estimates() == want
 
     @pytest.mark.parametrize("ens", [dm.haar_ensemble(4), dm.gue_evolution_ensemble(2, 0.5),
                                      dm.brickwork_ensemble(2, 2), cg.clifford_ensemble(2)],

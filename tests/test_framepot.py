@@ -1,5 +1,6 @@
 """Tests for frame potentials, time averages, generalizations and bounds."""
 
+import itertools
 import math
 
 import numpy as np
@@ -129,7 +130,38 @@ class TestFramePotentialMC:
         assert a.value == b.value and a.std_error == b.std_error
 
 
+def per_tuple_via_oto(ens, k: int) -> float:
+    """The per-tuple loop frame_potential_via_oto replaced: one ensemble
+    average per Pauli tuple, conjugating every B again for every tuple."""
+    d = ens.dim
+    paulis = paulialg.enumerate_paulis(int(math.log2(d)))
+    total = 0.0
+    for a_ops in itertools.product(paulis, repeat=k):
+        for b_ops in itertools.product(paulis, repeat=k):
+            total += abs(otolab.oto_ensemble_average(ens, OtoSpec(a_ops, b_ops)).value) ** 2
+    return total * d ** (2 * (k + 1)) / d ** (4 * k)
+
+
+def weighted_clifford_ensemble() -> dm.Ensemble:
+    """The 24 single-qubit Cliffords with seeded unequal weights, so the
+    rounding of each tuple's weighted sum depends on its order."""
+    w = np.random.default_rng(5).random(24)
+    els = cg.clifford_ensemble(1).elements
+    return dm.Ensemble("weighted-clifford", 2, weights=tuple(w / w.sum()), elements=els)
+
+
 class TestFramePotentialViaOto:
+    @pytest.mark.parametrize("ens,k", [
+        (ens, k) for ens in (dm.trivial_ensemble(1), dm.pauli_ensemble(1),
+                             dm.pauli_x_ensemble(1), cg.clifford_ensemble(1),
+                             weighted_clifford_ensemble())
+        for k in (1, 2)] + [(dm.trivial_ensemble(2), 1), (dm.pauli_ensemble(2), 1),
+                            (dm.pauli_x_ensemble(2), 1)],
+        ids=lambda v: getattr(v, "label", v))
+    def test_equals_the_per_tuple_oracle(self, ens, k):
+        # the B~ table keeps every float operation of the per-tuple average
+        assert fp.frame_potential_via_oto(ens, k).value == per_tuple_via_oto(ens, k)
+
     def test_trivial_hand_sum(self):
         # {I} at n=1, k=1: the OTO side sums to 1/4 before the d^4 factor
         est = fp.frame_potential_via_oto(dm.trivial_ensemble(1), 1)

@@ -322,3 +322,117 @@ class TestDenseProperties:
     def test_trace_product_int(self, word):
         oracle = np.trace(np.linalg.multi_dot([dense(p) for p in word] + [np.eye(2**word[0].n)]))
         assert complex(*paulialg.trace_product_int(word)) == oracle
+
+
+# ---------------------------------------------------------------------------
+# the product kernel against the PauliString chain it replaced
+# ---------------------------------------------------------------------------
+
+def chain_mul(p: PauliString, q: PauliString) -> PauliString:
+    """The one-product formula, one PauliString per product."""
+    assert p.n == q.n
+    x, z = p.x ^ q.x, p.z ^ q.z
+    phase = (p.phase + q.phase + (p.x & p.z).bit_count() + (q.x & q.z).bit_count()
+             + 2 * (p.z & q.x).bit_count() - (x & z).bit_count()) % 4
+    return PauliString(p.n, x, z, phase)
+
+
+def chain_mul_all(factors) -> PauliString:
+    out = factors[0]
+    for f in factors[1:]:
+        out = chain_mul(out, f)
+    return out
+
+
+def chain_trace_product_int(factors) -> tuple[int, int]:
+    prod = chain_mul_all(factors)
+    if not prod.is_identity_bits:
+        return (0, 0)
+    d = 2**prod.n
+    return [(d, 0), (0, d), (-d, 0), (0, -d)][prod.phase]
+
+
+def chain_apply_images(p: PauliString, images) -> PauliString:
+    """p as the scalar i^(phase + x.z) times the chained product of the
+    images of its X and Z generators."""
+    out = identity(p.n)
+    row, top = paulialg.to_row(p), 2 * p.n - 1
+    for j, img in enumerate(images):
+        if (row >> (top - j)) & 1:
+            out = chain_mul(out, img)
+    return PauliString(p.n, out.x, out.z, (out.phase + p.phase + (p.x & p.z).bit_count()) % 4)
+
+
+def chain_conjugate(c, p: PauliString) -> PauliString:
+    return chain_apply_images(p, c.x_images + c.z_images)
+
+
+def chain_trace_sq(c, ref) -> int:
+    """trace_sq's GF(2) elimination with its sign test on chained images."""
+    pivots, dim = {}, 0
+    for j, (row_a, row_b) in enumerate(zip(ref.rows(), c.rows())):
+        row, comb = row_a ^ row_b, 1 << (2 * c.n - 1 - j)
+        while row:
+            lead = row.bit_length() - 1
+            if lead not in pivots:
+                pivots[lead] = (row, comb)
+                break
+            row ^= pivots[lead][0]
+            comb ^= pivots[lead][1]
+        else:
+            q = paulialg.from_row(c.n, comb)
+            if chain_conjugate(c, q).phase != chain_conjugate(ref, q).phase:
+                return 0
+            dim += 1
+    return 1 << dim
+
+
+def with_phases(paulis):
+    return [dataclasses.replace(p, phase=ph) for p in paulis for ph in range(4)]
+
+
+class TestProductKernel:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_every_pair_with_every_phase(self, n):
+        ps = with_phases(all_paulis(n))
+        for p, q in itertools.product(ps, ps):
+            assert mul(p, q) == chain_mul(p, q)
+            assert paulialg.mul_all([p, q, p]) == chain_mul_all([p, q, p])
+            assert paulialg.trace_product_int([p, q]) == chain_trace_product_int([p, q])
+            assert paulialg.trace_product_int([p, q, q, p]) == chain_trace_product_int([p, q, q, p])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_seeded_cliffords(self, n):
+        from designlab import cliffordgrp as cg
+
+        rng = np.random.default_rng(100 + n)
+        for _ in range(6):
+            c, ref = cg.random_clifford(n, rng), cg.random_clifford(n, rng)
+            word = [dataclasses.replace(random_pauli(n, rng), phase=int(rng.integers(4)))
+                    for _ in range(4)]
+            conj = [cg.conjugate_pauli(c, p) for p in word]
+            assert conj == [chain_conjugate(c, p) for p in word]
+            assert paulialg.apply_images(word[0], ref.x_images + ref.z_images) == \
+                chain_conjugate(ref, word[0])
+            mixed = [f for pair in zip(word, conj) for f in pair]
+            assert paulialg.trace_product_int(mixed) == chain_trace_product_int(mixed)
+            assert paulialg.trace_product_int(word + [w.adjoint() for w in reversed(word)]) \
+                == chain_trace_product_int(word + [w.adjoint() for w in reversed(word)])
+            for a, b in ((ref, c), (c, c), (cg.compose(ref, cg.pauli_tableau(word[1])), ref)):
+                assert cg.trace_sq(b, a) == chain_trace_sq(b, a)
+
+    def test_mixed_qubit_counts_raise(self):
+        with pytest.raises(ValueError, match="qubit count mismatch"):
+            paulialg.trace_product_int([X, from_label("XI")])
+        with pytest.raises(ValueError, match="qubit count mismatch"):
+            paulialg.trace_product_int([X, X, from_label("ZZ"), X])
+        with pytest.raises(ValueError, match="qubit count mismatch"):
+            paulialg.mul_all([from_label("XY"), X])
+        with pytest.raises(ValueError, match="qubit count mismatch"):
+            paulialg.apply_images(X, (Z, from_label("XX")))
+        with pytest.raises(ValueError, match="qubit count mismatch"):
+            paulialg.apply_images(from_label("XI"), (X, Z))
+        from designlab import cliffordgrp as cg
+
+        with pytest.raises(ValueError, match="qubit count mismatch"):
+            cg.conjugate_pauli(cg.identity_tableau(2), X)
