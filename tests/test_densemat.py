@@ -56,7 +56,7 @@ SIGMA = {
 
 
 def kron_chain(p):
-    """The Kronecker chain pauli_to_dense replaced, phase applied last."""
+    """The Kronecker chain of the letters' matrices, phase applied last."""
     m = np.array([[1]], dtype=complex)
     for letter in p.letters():
         m = np.kron(m, SIGMA[letter])

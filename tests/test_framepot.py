@@ -131,8 +131,8 @@ class TestFramePotentialMC:
 
 
 def per_tuple_via_oto(ens, k: int) -> float:
-    """The per-tuple loop frame_potential_via_oto replaced: one ensemble
-    average per Pauli tuple, conjugating every B again for every tuple."""
+    """The Pauli-tuple sum with one ensemble average per tuple, conjugating
+    every B again for every tuple."""
     d = ens.dim
     paulis = paulialg.enumerate_paulis(int(math.log2(d)))
     total = 0.0

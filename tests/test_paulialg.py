@@ -325,7 +325,7 @@ class TestDenseProperties:
 
 
 # ---------------------------------------------------------------------------
-# the product kernel against the PauliString chain it replaced
+# the product kernel against a chain of one-product PauliStrings
 # ---------------------------------------------------------------------------
 
 def chain_mul(p: PauliString, q: PauliString) -> PauliString:
