@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -19,13 +20,15 @@ import numpy as np
 
 from . import paulialg, wg
 from .cliffordgrp import CliffordTableau, trace_sq
-from .densemat import (MC_CHUNK, Ensemble, check_mc_samples, check_state, dagger,
-                       element_to_matrix, mc_estimate, trace)
+from .densemat import (DENSE_GUARD, Ensemble, check_mc_samples, check_state, chunk_size,
+                       dagger, element_to_matrix, mc_estimate, trace)
 from .estimate import Estimate
 from .otolab import tabled_correlator
 from .paulialg import PauliString
 
-TAU_CHUNK = 8192  # tau values per block of the time average: bounds memory at TAU_CHUNK x d
+# bytes of complex phases per tau chunk of the time average: 1,024 rows at
+# d = 64, so a chunk stays in a core's L2 cache and its memory is bounded
+TAU_CHUNK_BYTES = 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -125,20 +128,43 @@ def analytic_time_average(k: int, d: int) -> int:
     return math.factorial(k) * d**k
 
 
+def _workers() -> int:
+    """Threads for the tau chunks: one per CPU this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _trapezoid_double_average(spectrum, k, t_max, n_grid) -> float:
     """2D trapezoidal average of |tr exp(-iH(t1-t2))|^(2k) over [0,t_max]^2.
 
     The integrand depends only on tau = t1 - t2, so the n x n trapezoid sum
     collapses onto anti-diagonals with exactly-known weights; this is an
     algebraic rewrite of the full 2D rule, not an extra approximation.
+
+    The tau grid is cut into chunks of TAU_CHUNK_BYTES of complex phases,
+    evaluated on a thread per usable CPU (numpy releases the GIL in exp, outer
+    and sum). Each tau row is computed alone, so f, and the result, are the
+    same bits for any chunk size and worker count.
     """
     energies = np.asarray(spectrum, dtype=float)
     h = t_max / (n_grid - 1)
     taus = h * np.arange(n_grid)
     f = np.empty(n_grid)
-    for lo in range(0, n_grid, TAU_CHUNK):
-        phases = np.exp(-1j * np.outer(taus[lo:lo + TAU_CHUNK], energies))
-        f[lo:lo + TAU_CHUNK] = np.abs(phases.sum(axis=1)) ** (2 * k)
+    rows = max(1, TAU_CHUNK_BYTES // (16 * len(energies)))
+    errstate = np.geterr()  # new threads start from numpy's default errstate
+
+    def row_powers(lo):
+        with np.errstate(**errstate):
+            phases = np.exp(-1j * np.outer(taus[lo:lo + rows], energies))
+            f[lo:lo + rows] = np.abs(phases.sum(axis=1)) ** (2 * k)
+
+    # imported here: concurrent.futures loads logging, 0.8 MB of RSS that
+    # commands without a time average need not carry
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(_workers()) as pool:
+        list(pool.map(row_powers, range(0, n_grid, rows)))
     c = np.empty(n_grid)
     c[0] = 0.25 + (n_grid - 2) + 0.25
     c[1:-1] = (n_grid - 2 - np.arange(1, n_grid - 1)) + 1.0
@@ -154,10 +180,17 @@ def time_averaged_frame_potential(spectrum, k: int, t_max: float,
 
     The reported std_error field holds the convergence diagnostic
     |F(t_max) - F(t_max/2)|; the infinite-time limit for generic
-    (incommensurate) spectra is analytic_time_average(k, d).
+    (incommensurate) spectra is analytic_time_average(k, d). The n_grid
+    values of tau are evaluated in chunks of TAU_CHUNK_BYTES (1 MiB) of
+    complex phases, spread over the usable CPUs; the value does not depend
+    on how many there are. n_grid is at most DENSE_GUARD^2, the entry count
+    of the largest dense matrix built anywhere.
     """
     if n_grid < 16:
         raise ValueError("n_grid must be at least 16")
+    if n_grid > DENSE_GUARD**2:
+        raise ValueError(f"n_grid must be at most DENSE_GUARD^2 = {DENSE_GUARD**2}, "
+                         f"got n_grid={n_grid}")
     if t_max <= 0:
         raise ValueError(f"t_max must be positive, got t_max={t_max}")
     value = _trapezoid_double_average(spectrum, k, t_max, n_grid)
@@ -243,9 +276,10 @@ def thermal_W(h_sampler, beta: float, t: float, k: int, mc_samples: int,
 
     h_sampler(rng, size) draws a (size, d, d) stack of Hermitian matrices;
     always Monte Carlo. Sample i is the pair (G, H) = draws (2i, 2i+1) of
-    one stream, drawn and diagonalized MC_CHUNK at a time. Each spectrum is
-    shifted to start at 0, which leaves the ratio as it is and keeps every
-    exponential finite at large beta.
+    one stream: the first pair alone, which gives d, then chunk_size(d)
+    draws at a time, so a chunk stays within densemat.CHUNK_BYTES. Each
+    spectrum is shifted to start at 0, which leaves the ratio as it is and
+    keeps every exponential finite at large beta.
     """
     if beta < 0:
         raise ValueError("beta must be nonnegative")
@@ -259,9 +293,10 @@ def thermal_W(h_sampler, beta: float, t: float, k: int, mc_samples: int,
         m = (v * np.exp(-z * e + b * low)[..., None, :]) @ dagger(v)
         return m, np.exp(-beta * (e - low)).sum(axis=-1)
 
-    vals = []
-    for lo in range(0, 2 * mc_samples, MC_CHUNK):
-        e, v = np.linalg.eigh(h_sampler(rng, min(MC_CHUNK, 2 * mc_samples - lo)))
+    vals, lo, size = [], 0, 2
+    while lo < 2 * mc_samples:
+        e, v = np.linalg.eigh(h_sampler(rng, min(size, 2 * mc_samples - lo)))
+        lo, size = lo + len(e), chunk_size(e.shape[-1])
         mg, zg = weighted(e[0::2], v[0::2], b - 1j * t)
         mh, zh = weighted(e[1::2], v[1::2], b + 1j * t)
         num = _per_value(lambda x: abs(x) ** (2 * k), trace(mg @ mh))

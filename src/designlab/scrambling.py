@@ -169,22 +169,27 @@ def renyi_k_oto(u: np.ndarray, part: IoPartition, k: int) -> tuple[float, float]
     rho_ac = _choi_marginal(choi_state(u), part.a_qubits, part.c_qubits)
     a_paulis = _region_paulis(part.n, part.a_qubits)
     d_paulis = _region_paulis(part.n, part.d_qubits)
-    a_mats = {p: pauli_to_dense(p) for p in a_paulis}
-    d_mats = {p: u.conj().T @ pauli_to_dense(p) @ u for p in d_paulis}
 
-    def inverse_product(ops):
-        return paulialg.mul_all(list(ops)).adjoint()
+    def with_last(paulis):
+        """Each free (k-1)-tuple with its inverse product (P_1 ... P_{k-1})^-1."""
+        return [(free, paulialg.mul_all(list(free)).adjoint())
+                for free in itertools.product(paulis, repeat=k - 1)]
+
+    a_tuples, d_tuples = with_last(a_paulis), with_last(d_paulis)
+    # one dense matrix per distinct (phased) Pauli, free or constrained
+    a_mats = {p: pauli_to_dense(p) for p in dict.fromkeys(
+        [*a_paulis, *(last for _, last in a_tuples)])}
+    d_mats = {p: u.conj().T @ pauli_to_dense(p) @ u for p in dict.fromkeys(
+        [*d_paulis, *(last for _, last in d_tuples)])}
 
     total = 0j
     count = 0
-    for a_free in itertools.product(a_paulis, repeat=k - 1):
-        a_last = inverse_product(a_free)
-        for d_free in itertools.product(d_paulis, repeat=k - 1):
-            d_last = inverse_product(d_free)
+    for a_free, a_last in a_tuples:
+        for d_free, d_last in d_tuples:
             acc = np.eye(d, dtype=complex)
             for a_p, d_p in zip(a_free, d_free):
                 acc = acc @ a_mats[a_p] @ d_mats[d_p]
-            acc = acc @ pauli_to_dense(a_last) @ (u.conj().T @ pauli_to_dense(d_last) @ u)
+            acc = acc @ a_mats[a_last] @ d_mats[d_last]
             total += np.trace(acc) / d
             count += 1
     lhs = float((total / count).real)

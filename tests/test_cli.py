@@ -328,13 +328,16 @@ class TestNonFiniteReports:
         ("framepot", "--ensemble", "clifford", "--n", "1", "--k", "600", "--exact"),
         ("framepot", "--ensemble", "haar", "--n", "1", "--k", "600", "--samples", "10",
          "--seed", "1"),
+        # overflows in the worker threads of the tau grid
+        ("timeavg", "--spectrum", "1,2", "--k", "2000", "--n-grid", "64"),
     ])
     def test_float_overflow_exits_1_without_report(self, capsys, argv):
         code = cli.main(list(argv))
         captured = capsys.readouterr()
         assert code == cli.EXIT_CHECK_FAILED == 1
         assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: result out of float range")
+        assert captured.err.count("\n") == 1
 
 
 class TestEdgeInputs:
@@ -349,6 +352,8 @@ class TestEdgeInputs:
         "thermal --k -1",
         "framepot --ensemble haar --n 1 --k -1 --samples 10 --seed 1",
         "timeavg --spectrum 1,2 --t-max 0",
+        # a grid past DENSE_GUARD^2 points, which used to fail allocating its arrays
+        "timeavg --spectrum 1,2 --n-grid 1000000000000",
         "bounds --f 1 --k 1 --n 1 --g 1",
         "bounds --f 2 --k 1 --n 2 --g 1 --q 2",
         "bounds --f 2 --k 1 --n 2 --choices 1",
@@ -430,13 +435,18 @@ class TestVerifyCommand:
                                     ("frame_potential_via_oto", "clifford", 2)]
 
 
+# 64 levels j + u_j, u_j in [0, 1/2): spacings of at least 1/2, no rational relations
+LEVELS_64 = ",".join(repr(j + 0.5 * (j * math.sqrt(2) % 1)) for j in range(64))
+
+
 class TestGoldenReports:
     """sha256 of report bytes recorded at earlier commits: the first six
     before the ensemble averages were merged into Ensemble.average, the next
     two before Clifford pair traces moved to the GF(2) kernel, the next three
-    before brickwork circuits were assembled as stacks, the last eight before
-    Pauli products and Clifford conjugations moved to packed ints. Every
-    seeded report stays byte-identical."""
+    before brickwork circuits were assembled as stacks, the next eight before
+    Pauli products and Clifford conjugations moved to packed ints, the last
+    two before the tau grid of timeavg was spread over threads. Every seeded
+    report stays byte-identical."""
 
     @pytest.mark.parametrize("argv,sha256", [
         ("framepot --ensemble haar --n 2 --k 2 --samples 2000 --seed 1",
@@ -477,6 +487,10 @@ class TestGoldenReports:
          "fa72cde6dece95a838ac2838cda1a37a2738f7f02bbc1cfdbc7473491abb1fee"),
         ("scramble --unitary haar --n 3 --k 3 --partition A=0;D=2 --seed 5",
          "ad704668ecf4c210d9b0934b969b5bda28cd838a75fde2a413ee615c6304aeb9"),
+        ("timeavg --spectrum 0,1,1.4142135,3.14159 --k 1 --t-max 2000 --check",
+         "2fde004fca56fa326c49bd4c3d908f626cd65f97d41d362908da7f4b3e65f988"),
+        (f"timeavg --spectrum {LEVELS_64} --k 1 --t-max 200 --n-grid 20000 --check",
+         "36b1ddc91c6e9acd8f1a93cee72f6fca7c98ed8091cf099a2822474b6c813104"),
     ])
     def test_report_bytes(self, capsys, argv, sha256):
         code, out = run(capsys, *argv.split())

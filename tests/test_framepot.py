@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import threading
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -216,11 +218,16 @@ class TestTimeAverages:
         fast = fp._trapezoid_double_average(spectrum, k, t_max, n)
         assert fast == pytest.approx(direct, rel=1e-12)
 
-    @pytest.mark.parametrize("chunk,n_grid", [(100, 1000),
-                                              (fp.TAU_CHUNK, 2 * fp.TAU_CHUNK + 5)])
+    SPECTRUM = (0.0, 0.7, 1.9, math.pi, 5.5)
+    DEFAULT_ROWS = fp.TAU_CHUNK_BYTES // (16 * len(SPECTRUM))
+
+    @pytest.mark.parametrize("chunk,n_grid", [(1, 1000), (3, 1000), (100, 1000),
+                                              (8192, 2 * 8192 + 5),
+                                              (DEFAULT_ROWS, 2 * DEFAULT_ROWS + 5)])
     def test_tau_chunks_match_one_block(self, monkeypatch, chunk, n_grid):
-        # the chunked phase sums equal the one-block computation bit for bit
-        spectrum = np.array([0.0, 0.7, 1.9, math.pi, 5.5])
+        # chunks of `chunk` tau rows on 1, 2 or 3 threads equal the one-block
+        # computation bit for bit
+        spectrum = np.array(self.SPECTRUM)
         k, t_max = 2, 40.0
         h = t_max / (n_grid - 1)
         taus = h * np.arange(n_grid)
@@ -228,8 +235,39 @@ class TestTimeAverages:
         c = np.array([0.5 + n_grid - 2] + [n_grid - m - 1.0 for m in range(1, n_grid - 1)]
                      + [0.25])
         one_block = float((c[0] * f[0] + 2.0 * np.dot(c[1:], f[1:])) * h * h / t_max**2)
-        monkeypatch.setattr(fp, "TAU_CHUNK", chunk)
-        assert fp._trapezoid_double_average(spectrum, k, t_max, n_grid) == one_block
+        if chunk != self.DEFAULT_ROWS:
+            monkeypatch.setattr(fp, "TAU_CHUNK_BYTES", chunk * 16 * len(spectrum))
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(fp, "_workers", lambda: workers)
+            assert fp._trapezoid_double_average(spectrum, k, t_max, n_grid) == one_block
+
+    def test_chunk_rows_from_the_byte_budget(self, monkeypatch):
+        # 1 MiB of complex phases: 1,024 tau rows at d = 64, one row from 2^16 levels on
+        rows = []
+        real_outer = np.outer
+        monkeypatch.setattr(fp.np, "outer", lambda a, b: rows.append(len(a)) or real_outer(a, b))
+        fp._trapezoid_double_average(np.arange(64.0), 1, 10.0, 2500)
+        assert sorted(rows) == [452, 1024, 1024]
+        rows.clear()
+        fp._trapezoid_double_average(np.zeros(2**17), 1, 10.0, 16)
+        assert rows == [1] * 16
+
+    def test_no_thread_outlives_the_call(self, monkeypatch):
+        # the pools are kept referenced, so only their shutdown can end the workers
+        pools = []
+
+        class Recorded(futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        monkeypatch.setattr(futures, "ThreadPoolExecutor", Recorded)
+        monkeypatch.setattr(fp, "_workers", lambda: 3)
+        before = threading.active_count()
+        est = fp.time_averaged_frame_potential([0.0, 1.0, math.sqrt(2.0)], 1, 50.0,
+                                               n_grid=200_000)
+        assert threading.active_count() == before
+        assert len(pools) == 2 and est.value > 0
 
 
 class TestGeneralizedPotentials:
@@ -325,6 +363,21 @@ class TestThermalW:
         est = fp.thermal_W(sampler, beta, t, k, 33, seed=75)
         want = thermal_W_per_sample(d, beta, t, k, 33, 75)
         assert (est.value, est.std_error, est.n_samples) == (want.value, want.std_error, 33)
+
+    def test_byte_budget_keeps_the_estimate(self, monkeypatch):
+        # the first pair gives d; later chunks hold chunk_size(d) draws
+        d, sizes = 4, []
+
+        def sampler(rng, size):
+            sizes.append(size)
+            return dm.gue_hamiltonian(d, rng, size)
+
+        want = fp.thermal_W(sampler, 2.0, 0.9, 2, 33, seed=75)
+        assert sizes == [2, 64]
+        sizes.clear()
+        monkeypatch.setattr(dm, "CHUNK_BYTES", 7 * 16 * d * d)  # 6 draws per chunk
+        assert fp.thermal_W(sampler, 2.0, 0.9, 2, 33, seed=75) == want
+        assert sizes == [2] + [6] * 10 + [4]
 
     def test_beta_zero_matches_plain_over_d2(self):
         d, k, t = 2, 1, 0.7

@@ -144,6 +144,48 @@ class TestRenyiKIdentity:
             lhs, rhs = sc.renyi_k_oto(u, part, 3)
             assert abs(lhs - rhs) <= 1e-8
 
+    @staticmethod
+    def per_tuple_lhs(u, part, k):
+        """The constrained Pauli average with every dense operand of a tuple
+        built afresh, as it ran before the tables: the oracle of renyi_k_oto."""
+        d = 2**part.n
+        a_paulis = sc._region_paulis(part.n, part.a_qubits)
+        d_paulis = sc._region_paulis(part.n, part.d_qubits)
+        total, count = 0j, 0
+        for a_free in itertools.product(a_paulis, repeat=k - 1):
+            a_last = paulialg.mul_all(list(a_free)).adjoint()
+            for d_free in itertools.product(d_paulis, repeat=k - 1):
+                d_last = paulialg.mul_all(list(d_free)).adjoint()
+                acc = np.eye(d, dtype=complex)
+                for a_p, d_p in zip(a_free, d_free):
+                    acc = acc @ dm.pauli_to_dense(a_p) @ (u.conj().T @ dm.pauli_to_dense(d_p) @ u)
+                acc = acc @ dm.pauli_to_dense(a_last) @ (
+                    u.conj().T @ dm.pauli_to_dense(d_last) @ u)
+                total += np.trace(acc) / d
+                count += 1
+        return float((total / count).real)
+
+    @pytest.mark.parametrize("n,a,dq,k", [(2, (0,), (1,), 3), (2, (0,), (1,), 4),
+                                          (2, (1,), (0, 1), 3), (3, (0,), (2,), 3)])
+    def test_tables_keep_the_per_tuple_bits(self, n, a, dq, k):
+        u = dm.haar_unitary(2**n, np.random.default_rng(7))
+        part = sc.IoPartition(n, a, dq)
+        assert sc.renyi_k_oto(u, part, k)[0] == self.per_tuple_lhs(u, part, k)
+
+    def test_each_dense_pauli_is_built_once(self, monkeypatch):
+        # n=2, k=3: 520 pauli_to_dense calls when every tuple rebuilt its constrained pair
+        part, k = sc.IoPartition(2, (0,), (1,)), 3
+        calls = []
+        monkeypatch.setattr(sc, "pauli_to_dense", lambda p: calls.append(p) or dm.pauli_to_dense(p))
+        lhs, rhs = sc.renyi_k_oto(dm.haar_unitary(4, np.random.default_rng(8)), part, k)
+        assert abs(lhs - rhs) <= 1e-8
+        budget = 0
+        for qubits in (part.a_qubits, part.d_qubits):
+            free = sc._region_paulis(2, qubits)
+            last = {paulialg.mul_all(list(t)).adjoint() for t in itertools.product(free, repeat=k - 1)}
+            budget += len(free) + len(last - set(free))
+        assert len(calls) <= budget < 40
+
 
 class TestMutualInfo:
     def test_swap_is_two_bits(self):
