@@ -328,8 +328,8 @@ def cmd_timeavg(args) -> int:
 def cmd_thermal(args) -> int:
     d = 2**args.n
     seed = args.seed if args.seed is not None else 0
-    sampler = lambda rng, size: dm.gue_hamiltonian(d, rng, size)
-    est = fp.thermal_W(sampler, args.beta, args.t, args.k, args.samples, seed)
+    ens = dm.Ensemble("gue", d, sampler=lambda rng, size: dm.gue_hamiltonian(d, rng, size))
+    est = fp.thermal_W(ens, args.beta, args.t, args.k, args.samples, seed)
     report = {
         "estimator": "thermal_frame_potential", "k": args.k, "d": d,
         "beta": args.beta, "t": args.t, "seed": seed,

@@ -271,7 +271,7 @@ def clifford_ensemble(n: int, seed: int | None = None) -> Ensemble:
         return Ensemble("clifford", 2, weights=w, elements=els)
     return Ensemble("clifford", 2**n,
                     sampler=lambda rng, size: [random_clifford(n, rng) for _ in range(size)],
-                    seed=seed, params={"n": n})
+                    seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -306,25 +306,3 @@ def to_dense(c: CliffordTableau) -> np.ndarray:
     first = flat[np.flatnonzero(np.abs(flat) > 1e-9)[0]]
     return u * (abs(first) / first)
 
-
-# ---------------------------------------------------------------------------
-# JSON interchange
-# ---------------------------------------------------------------------------
-
-def tableau_to_json(c: CliffordTableau) -> dict:
-    return {
-        "n": c.n,
-        "symplectic": _bit_rows(c),
-        "phases": [int(b) for b in c.phase_bits()],
-    }
-
-
-def tableau_from_json(data: dict) -> CliffordTableau:
-    n, mat, phases = int(data["n"]), data["symplectic"], data["phases"]
-    if len(mat) != 2 * n or any(len(r) != 2 * n or not set(r) <= {0, 1} for r in mat):
-        raise ValueError(f"symplectic must be a {2 * n} x {2 * n} matrix of 0/1 bits")
-    rows = (sum(int(b) << 2 * n - 1 - i for i, b in enumerate(r)) for r in mat)
-    imgs = [paulialg.from_row(n, row, 2 * int(p)) for row, p in zip(rows, phases)]
-    c = CliffordTableau(n, tuple(imgs[:n]), tuple(imgs[n:]))
-    check_tableau(c)
-    return c

@@ -1,7 +1,7 @@
 """Dense complex linear algebra at desk scale.
 
-Unitary/Hamiltonian sampling, matrix exponentials, tensor products, partial
-traces, permutation operators, k-fold channel application and the ensemble
+Unitary/Hamiltonian sampling, matrix exponentials, partial traces,
+permutation operators, k-fold channel application and the ensemble
 abstraction. Operators are plain complex numpy arrays ("DenseOperator");
 unitaries are arrays validated by `check_unitary` at construction sites.
 
@@ -27,9 +27,8 @@ the temporaries of up to MC_CHUNK // 4 = 16 circuits being assembled.
 from __future__ import annotations
 
 import itertools
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -61,20 +60,20 @@ def trace(m: np.ndarray):
     return np.trace(m, axis1=-2, axis2=-1)
 
 
-def check_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
+def check_unitary(u: np.ndarray) -> np.ndarray:
     """A unitary, or a (..., d, d) stack of them, checked in one pass."""
     u = np.asarray(u, dtype=complex)
     if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
         raise ValueError("unitary must be a square matrix")
     err = np.max(np.abs(dagger(u) @ u - np.eye(u.shape[-1])))
-    if err > tol:
+    if err > UNITARY_TOL:
         raise ValueError(f"matrix is not unitary: ||U^dag U - I||_max = {err:.2e}")
     return u
 
 
-def check_hermitian(h: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
+def check_hermitian(h: np.ndarray) -> np.ndarray:
     h = np.asarray(h, dtype=complex)
-    if np.max(np.abs(h - dagger(h))) > tol:
+    if np.max(np.abs(h - dagger(h))) > UNITARY_TOL:
         raise ValueError("matrix is not Hermitian")
     return h
 
@@ -98,15 +97,15 @@ def mc_estimate(vals: np.ndarray, seed: int | None) -> Estimate:
     return Estimate(mean, se, n, seed=seed, method="monte-carlo")
 
 
-def check_state(rho: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
+def check_state(rho: np.ndarray) -> np.ndarray:
     """A density matrix: square, Hermitian, unit trace and positive
-    semidefinite, each within tol (no eigenvalue below -tol)."""
+    semidefinite, each within UNITARY_TOL (no eigenvalue below -UNITARY_TOL)."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError("rho must be a square matrix")
-    if np.max(np.abs(rho - rho.conj().T)) > tol or abs(np.trace(rho) - 1) > tol:
+    if np.max(np.abs(rho - rho.conj().T)) > UNITARY_TOL or abs(np.trace(rho) - 1) > UNITARY_TOL:
         raise ValueError("rho must be Hermitian with unit trace")
-    if np.linalg.eigvalsh(rho).min() < -tol:
+    if np.linalg.eigvalsh(rho).min() < -UNITARY_TOL:
         raise ValueError("rho is not positive semidefinite")
     return rho
 
@@ -221,10 +220,6 @@ def evolve(h: np.ndarray, t: float) -> np.ndarray:
 # tensor algebra
 # ---------------------------------------------------------------------------
 
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def partial_trace(rho: np.ndarray, keep: list[int] | tuple[int, ...]) -> np.ndarray:
     """Trace out the qubits whose mask entry is 0.
 
@@ -284,7 +279,9 @@ class Ensemble:
     `elements` (dense arrays, PauliStrings or Clifford tableaux).
     Sampler: `sampler(rng, size)` returns `size` draws, a (size, d, d) stack
     or a list; stacked draws equal one-at-a-time draws from the same
-    generator. Draws are deterministic given (seed, block index).
+    generator. Draws are deterministic given (seed, block index). They are
+    unitaries, or Hermitian matrices for an ensemble of Hamiltonians (as
+    framepot.thermal_W averages).
     """
 
     label: str
@@ -293,7 +290,6 @@ class Ensemble:
     elements: tuple[Any, ...] | None = None
     sampler: Callable[[np.random.Generator, int], Any] | None = None
     seed: int | None = None
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if (self.elements is None) == (self.sampler is None):
@@ -387,14 +383,14 @@ def pauli_x_ensemble(n: int) -> Ensemble:
 
 def haar_ensemble(d: int, seed: int | None = None) -> Ensemble:
     return Ensemble("haar", d, sampler=lambda rng, size: haar_unitary(d, rng, size),
-                    seed=seed, params={"d": d})
+                    seed=seed)
 
 
 def gue_evolution_ensemble(d: int, t: float, seed: int | None = None) -> Ensemble:
     """Evolution for a fixed time t under independently drawn GUE Hamiltonians."""
     def draw(rng, size):
         return evolve(gue_hamiltonian(d, rng, size), t)
-    return Ensemble("gue-evolution", d, sampler=draw, seed=seed, params={"d": d, "t": t})
+    return Ensemble("gue-evolution", d, sampler=draw, seed=seed)
 
 
 def hamiltonian_evolution_ensemble(h: np.ndarray, t_max: float, seed: int | None = None) -> Ensemble:
@@ -406,8 +402,7 @@ def hamiltonian_evolution_ensemble(h: np.ndarray, t_max: float, seed: int | None
         t = rng.uniform(0.0, t_max, size)
         return (vecs * np.exp(-1j * evals * t[:, None])[:, None, :]) @ dagger(vecs)
 
-    return Ensemble("hamiltonian-evolution", h.shape[0], sampler=draw, seed=seed,
-                    params={"d": h.shape[0], "t_max": t_max})
+    return Ensemble("hamiltonian-evolution", h.shape[0], sampler=draw, seed=seed)
 
 
 def brickwork_ensemble(n: int, depth: int, seed: int | None = None) -> Ensemble:
@@ -461,8 +456,7 @@ def brickwork_ensemble(n: int, depth: int, seed: int | None = None) -> Ensemble:
             out[lo:lo + len(sub)] = u
         return out
 
-    return Ensemble("brickwork", d, sampler=sampler, seed=seed,
-                    params={"n": n, "depth": depth})
+    return Ensemble("brickwork", d, sampler=sampler, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -551,64 +545,17 @@ def random_sign_state_overlap(d: int, pairs: int, rng: np.random.Generator) -> E
 
 
 # ---------------------------------------------------------------------------
-# JSON interchange
+# JSON input
 # ---------------------------------------------------------------------------
-
-def matrix_to_json(m: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, dtype=complex)]
-
 
 def _is_number_pair(v) -> bool:
     return isinstance(v, list) and len(v) == 2 and all(isinstance(x, (int, float)) for x in v)
 
 
 def matrix_from_json(data: list) -> np.ndarray:
-    """The square complex matrix of matrix_to_json: rows of [re, im] pairs."""
+    """A square complex matrix from JSON: a list of rows of [re, im] pairs."""
     if not (isinstance(data, list) and data and all(
             isinstance(row, list) and len(row) == len(data) and all(map(_is_number_pair, row))
             for row in data)):
         raise ValueError("matrix must be a square list of rows of [re, im] number pairs")
     return np.array([[complex(re, im) for re, im in row] for row in data])
-
-
-def ensemble_to_json(ens: Ensemble) -> dict:
-    if ens.kind == "discrete":
-        return {
-            "kind": "discrete",
-            "label": ens.label,
-            "elements": [
-                {"weight": w, "matrix": matrix_to_json(element_to_matrix(el))}
-                for w, el in zip(ens.weights, ens.elements)
-            ],
-            "seed": ens.seed,
-        }
-    return {"kind": "sampler", "label": ens.label, "seed": ens.seed, **ens.params}
-
-
-_SAMPLER_BUILDERS = {
-    "haar": lambda p, seed: haar_ensemble(int(p["d"]), seed),
-    "gue-evolution": lambda p, seed: gue_evolution_ensemble(int(p["d"]), float(p["t"]), seed),
-    "brickwork": lambda p, seed: brickwork_ensemble(int(p["n"]), int(p["depth"]), seed),
-}
-
-
-def ensemble_from_json(data: dict) -> Ensemble:
-    if data["kind"] == "discrete":
-        mats = tuple(matrix_from_json(e["matrix"]) for e in data["elements"])
-        weights = tuple(float(e["weight"]) for e in data["elements"])
-        return Ensemble(data.get("label", "discrete"), mats[0].shape[0],
-                        weights=weights, elements=mats, seed=data.get("seed"))
-    label = data["label"]
-    if label not in _SAMPLER_BUILDERS:
-        raise ValueError(f"unknown sampler label {label!r}")
-    return _SAMPLER_BUILDERS[label](data, data.get("seed"))
-
-
-def save_ensemble(ens: Ensemble, path: str):
-    with open(path, "w") as fh:
-        json.dump(ensemble_to_json(ens), fh)
-
-
-def load_ensemble(path: str) -> Ensemble:
-    with open(path) as fh:
-        return ensemble_from_json(json.load(fh))

@@ -20,8 +20,7 @@ import numpy as np
 
 from . import paulialg, wg
 from .cliffordgrp import CliffordTableau, trace_sq
-from .densemat import (DENSE_GUARD, Ensemble, check_mc_samples, check_state, chunk_size,
-                       dagger, element_to_matrix, mc_estimate, trace)
+from .densemat import DENSE_GUARD, Ensemble, check_state, dagger, element_to_matrix, trace
 from .estimate import Estimate
 from .otolab import tabled_correlator
 from .paulialg import PauliString
@@ -186,6 +185,7 @@ def time_averaged_frame_potential(spectrum, k: int, t_max: float,
     on how many there are. n_grid is at most DENSE_GUARD^2, the entry count
     of the largest dense matrix built anywhere.
     """
+    _check_k(k)
     if n_grid < 16:
         raise ValueError("n_grid must be at least 16")
     if n_grid > DENSE_GUARD**2:
@@ -267,41 +267,35 @@ def generalized_F_haar_reference(rho_kind: str, k: int, d: int,
     raise ValueError(f"unknown rho_kind {rho_kind!r}")
 
 
-def thermal_W(h_sampler, beta: float, t: float, k: int, mc_samples: int,
+def thermal_W(ens: Ensemble, beta: float, t: float, k: int, mc_samples: int,
               seed: int) -> Estimate:
     """Thermal frame potential for an ensemble of Hamiltonians:
 
         avg over (G, H) of |tr{e^(-(beta/2k - it)G) e^(-(beta/2k + it)H)}|^(2k)
                            / (tr e^(-beta G) tr e^(-beta H))
 
-    h_sampler(rng, size) draws a (size, d, d) stack of Hermitian matrices;
-    always Monte Carlo. Sample i is the pair (G, H) = draws (2i, 2i+1) of
-    one stream: the first pair alone, which gives d, then chunk_size(d)
-    draws at a time, so a chunk stays within densemat.CHUNK_BYTES. Each
-    spectrum is shifted to start at 0, which leaves the ratio as it is and
-    keeps every exponential finite at large beta.
+    ens is a sampler Ensemble of Hermitian matrices; always Monte Carlo, as
+    ens.average over pairs: sample i is the pair (G, H) = draws (2i, 2i+1) of
+    one stream. Each spectrum is shifted to start at 0, which leaves the
+    ratio as it is and keeps every exponential finite at large beta.
     """
     if beta < 0:
         raise ValueError("beta must be nonnegative")
     _check_k(k)
-    check_mc_samples(mc_samples)
-    rng = np.random.default_rng([seed, 0])
     b = beta / (2 * k)
 
-    def weighted(e, v, z):
+    def weighted(h, z):
+        e, v = np.linalg.eigh(h)
         low = e.min(axis=-1, keepdims=True)
         m = (v * np.exp(-z * e + b * low)[..., None, :]) @ dagger(v)
         return m, np.exp(-beta * (e - low)).sum(axis=-1)
 
-    vals, lo, size = [], 0, 2
-    while lo < 2 * mc_samples:
-        e, v = np.linalg.eigh(h_sampler(rng, min(size, 2 * mc_samples - lo)))
-        lo, size = lo + len(e), chunk_size(e.shape[-1])
-        mg, zg = weighted(e[0::2], v[0::2], b - 1j * t)
-        mh, zh = weighted(e[1::2], v[1::2], b + 1j * t)
-        num = _per_value(lambda x: abs(x) ** (2 * k), trace(mg @ mh))
-        vals.append(num / (zg * zh))
-    return mc_estimate(np.concatenate(vals), seed)
+    def pair_values(g, h):
+        mg, zg = weighted(g, b - 1j * t)
+        mh, zh = weighted(h, b + 1j * t)
+        return _per_value(lambda x: abs(x) ** (2 * k), trace(mg @ mh)) / (zg * zh)
+
+    return ens.average(pair_values, pairs=True, mc_samples=mc_samples, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +386,9 @@ def bounds_report(f: float, k: int, n: int, *, choices: float | None = None,
                   g: int | None = None, q: int | None = None,
                   epsilon: float | None = None) -> dict:
     """All bounds applicable to the supplied inputs, as a flat dict."""
+    _check_k(k)
+    if q is not None and q < 1:
+        raise ValueError(f"q must be at least 1, got q={q}")
     d = 2**n
     out = {
         "cardinality": cardinality_bound(f, k, d),

@@ -214,6 +214,8 @@ def weingarten(mu: tuple[int, ...], d: int) -> Fraction:
     partition; for k > d its table is the pseudo-inverse of Q (q_inverse)."""
     if d < 1:
         raise ValueError(f"dimension must be positive, got d={d}")
+    if any(part < 1 for part in mu):
+        raise ValueError(f"cycle type parts must be positive, got {tuple(mu)}")
     mu = tuple(sorted(mu, reverse=True))
     k = sum(mu)
     total = Fraction(0)

@@ -351,6 +351,9 @@ class TestEdgeInputs:
         "thermal --k 0",
         "thermal --k -1",
         "framepot --ensemble haar --n 1 --k -1 --samples 10 --seed 1",
+        "bounds --f 2 --k 0 --n 2",
+        "bounds --f 2 --k -1 --n 2",
+        "timeavg --spectrum 1,2 --k 0",
         "timeavg --spectrum 1,2 --t-max 0",
         # a grid past DENSE_GUARD^2 points, which used to fail allocating its arrays
         "timeavg --spectrum 1,2 --n-grid 1000000000000",
@@ -358,6 +361,10 @@ class TestEdgeInputs:
         "bounds --f 2 --k 1 --n 2 --g 1 --q 2",
         "bounds --f 2 --k 1 --n 2 --choices 1",
         "bounds --f 2 --k 1 --n 2 --choices 0.5",
+        "bounds --f 2 --k 1 --n 2 --g 2 --q 0",
+        # a cycle-type part below 1, which used to give Wg = 0
+        "wg --cycle-type 3,0 --d 4",
+        "wg --cycle-type 2,-1 --d 4",
         # a qubit count below 1, which 2**n used to turn into a float or a bad shift
         "framepot --ensemble pauli --n -1 --k 1 --exact",
         "framepot --ensemble trivial --n -2 --k 1 --exact",
@@ -444,9 +451,10 @@ class TestGoldenReports:
     before the ensemble averages were merged into Ensemble.average, the next
     two before Clifford pair traces moved to the GF(2) kernel, the next three
     before brickwork circuits were assembled as stacks, the next eight before
-    Pauli products and Clifford conjugations moved to packed ints, the last
-    two before the tau grid of timeavg was spread over threads. Every seeded
-    report stays byte-identical."""
+    Pauli products and Clifford conjugations moved to packed ints, the next
+    two before the tau grid of timeavg was spread over threads, the last two
+    before thermal_W averaged through Ensemble.average (the second crosses a
+    64-draw chunk boundary). Every seeded report stays byte-identical."""
 
     @pytest.mark.parametrize("argv,sha256", [
         ("framepot --ensemble haar --n 2 --k 2 --samples 2000 --seed 1",
@@ -491,6 +499,10 @@ class TestGoldenReports:
          "2fde004fca56fa326c49bd4c3d908f626cd65f97d41d362908da7f4b3e65f988"),
         (f"timeavg --spectrum {LEVELS_64} --k 1 --t-max 200 --n-grid 20000 --check",
          "36b1ddc91c6e9acd8f1a93cee72f6fca7c98ed8091cf099a2822474b6c813104"),
+        ("thermal --n 2 --beta 0 --t 1 --k 1 --samples 2000 --seed 5",
+         "94f968ec36cace3c34f7879a3981a9043014a3799487e8206c7f02181516491c"),
+        ("thermal --n 3 --beta 50 --t 0.9 --k 2 --samples 70 --seed 75",
+         "c6689021f5a0784e322cb09f4c8fff65238504836a30ccc9dc5c0845cc5909a0"),
     ])
     def test_report_bytes(self, capsys, argv, sha256):
         code, out = run(capsys, *argv.split())

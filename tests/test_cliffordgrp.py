@@ -343,28 +343,3 @@ class TestGroupStructure:
         assert cg.hadamard_tableau(1, 0).key() == bytes([0, 1, 1, 0, 0, 0])
         assert cg.phase_gate_tableau(1, 0).key() == bytes([1, 1, 0, 1, 1, 0])
         assert cg.cz_tableau(2, 0, 1).key()[:8] == bytes([1, 0, 0, 1, 0, 1, 1, 0])
-
-    def test_json_roundtrip(self):
-        rng = np.random.default_rng(8)
-        for _ in range(10):
-            c = cg.random_clifford(2, rng)
-            c2 = cg.tableau_from_json(cg.tableau_to_json(c))
-            assert c2.key() == c.key()
-
-    def test_json_matrix_layout(self):
-        data = cg.tableau_to_json(cg.phase_gate_tableau(1, 0))
-        assert data == {"n": 1, "symplectic": [[1, 1], [0, 1]], "phases": [1, 0]}
-
-    @pytest.mark.parametrize("mat", [
-        [[0, 1], [1, 0], [0, 0]],  # wrong shape
-        [[0, 1, 0], [1, 0, 0]],    # wrong shape
-        [[0, 2], [1, 0]],          # a bit outside {0, 1}
-        [[0, 1], [1]],             # ragged rows
-    ])
-    def test_json_rejects_malformed_matrices(self, mat):
-        with pytest.raises(ValueError):
-            cg.tableau_from_json({"n": 1, "symplectic": mat, "phases": [0, 0]})
-
-    def test_json_rejects_non_symplectic_matrices(self):
-        with pytest.raises(ValueError, match="symplectic"):
-            cg.tableau_from_json({"n": 1, "symplectic": [[1, 0], [1, 0]], "phases": [0, 0]})

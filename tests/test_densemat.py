@@ -260,9 +260,6 @@ class TestCheckState:
 
 
 class TestTensorAndPartialTrace:
-    def test_tensor_identity(self):
-        np.testing.assert_allclose(dm.tensor(np.eye(2), np.eye(2)), np.eye(4), atol=0)
-
     def test_epr_partial_trace(self):
         epr = np.zeros(4, dtype=complex)
         epr[0] = epr[3] = 1 / np.sqrt(2)
@@ -498,7 +495,8 @@ class TestMonteCarloGuard:
         "kfold_channel_apply": lambda ens: dm.kfold_channel_apply(
             ens, np.diag([1, -1]), 1, mc_samples=1),
         "thermal_W": lambda ens: fp.thermal_W(
-            lambda rng, size: dm.gue_hamiltonian(2, rng, size), 0.0, 0.0, 1, 1, seed=1),
+            dm.Ensemble("gue", 2, sampler=lambda rng, size: dm.gue_hamiltonian(2, rng, size)),
+            0.0, 0.0, 1, 1, seed=1),
     }
 
     @pytest.mark.parametrize("name", list(ESTIMATORS))
@@ -600,20 +598,3 @@ class TestEnsembles:
             np.testing.assert_allclose(u.conj().T @ u, np.eye(4), atol=1e-10)
         again = ens.sample_block(13, 3)
         assert all(np.array_equal(a, b) for a, b in zip(draws, again))
-
-    def test_json_roundtrip_discrete(self, tmp_path):
-        ens = dm.pauli_ensemble(1)
-        path = tmp_path / "ens.json"
-        dm.save_ensemble(ens, str(path))
-        loaded = dm.load_ensemble(str(path))
-        assert loaded.kind == "discrete"
-        for el, orig in zip(loaded.elements, ens.elements):
-            np.testing.assert_allclose(el, dm.pauli_to_dense(orig), atol=0)
-
-    def test_json_roundtrip_sampler(self, tmp_path):
-        ens = dm.haar_ensemble(4, seed=3)
-        path = tmp_path / "h.json"
-        dm.save_ensemble(ens, str(path))
-        loaded = dm.load_ensemble(str(path))
-        assert loaded.kind == "sampler" and loaded.dim == 4 and loaded.seed == 3
-        np.testing.assert_allclose(loaded.sample_block(3, 1)[0], ens.sample_block(3, 1)[0], atol=0)

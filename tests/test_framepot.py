@@ -353,36 +353,41 @@ def thermal_W_per_sample(d, beta, t, k, mc_samples, seed):
     return dm.mc_estimate(vals, seed)
 
 
+def gue_ensemble(d, sampler=None):
+    """The Hamiltonian ensemble thermal_W averages: GUE draws at dimension d."""
+    sampler = sampler or (lambda rng, size: dm.gue_hamiltonian(d, rng, size))
+    return dm.Ensemble("gue", d, sampler=sampler)
+
+
 class TestThermalW:
     @pytest.mark.parametrize("beta", [0.0, 2.0, 50.0])
     @pytest.mark.parametrize("k", [1, 2])
     def test_stack_matches_the_per_sample_loop(self, beta, k):
         # 33 pairs: 66 draws, so one pair lies past the first chunk
         d, t = 4, 0.9
-        sampler = lambda rng, size: dm.gue_hamiltonian(d, rng, size)
-        est = fp.thermal_W(sampler, beta, t, k, 33, seed=75)
+        est = fp.thermal_W(gue_ensemble(d), beta, t, k, 33, seed=75)
         want = thermal_W_per_sample(d, beta, t, k, 33, 75)
         assert (est.value, est.std_error, est.n_samples) == (want.value, want.std_error, 33)
 
     def test_byte_budget_keeps_the_estimate(self, monkeypatch):
-        # the first pair gives d; later chunks hold chunk_size(d) draws
+        # the stream's chunks hold chunk_size(d) draws
         d, sizes = 4, []
 
         def sampler(rng, size):
             sizes.append(size)
             return dm.gue_hamiltonian(d, rng, size)
 
-        want = fp.thermal_W(sampler, 2.0, 0.9, 2, 33, seed=75)
-        assert sizes == [2, 64]
+        ens = gue_ensemble(d, sampler)
+        want = fp.thermal_W(ens, 2.0, 0.9, 2, 33, seed=75)
+        assert sizes == [64, 2]
         sizes.clear()
         monkeypatch.setattr(dm, "CHUNK_BYTES", 7 * 16 * d * d)  # 6 draws per chunk
-        assert fp.thermal_W(sampler, 2.0, 0.9, 2, 33, seed=75) == want
-        assert sizes == [2] + [6] * 10 + [4]
+        assert fp.thermal_W(ens, 2.0, 0.9, 2, 33, seed=75) == want
+        assert sizes == [6] * 11
 
     def test_beta_zero_matches_plain_over_d2(self):
         d, k, t = 2, 1, 0.7
-        sampler = lambda rng, size: dm.gue_hamiltonian(d, rng, size)
-        west = fp.thermal_W(sampler, 0.0, t, k, 4000, seed=71)
+        west = fp.thermal_W(gue_ensemble(d), 0.0, t, k, 4000, seed=71)
         ens = dm.gue_evolution_ensemble(d, t, seed=72)
         fest = fp.frame_potential_mc(ens, k, 4000)
         joint = math.hypot(west.std_error, fest.std_error / (d * d))
@@ -405,8 +410,7 @@ class TestThermalW:
             assert num / den <= 1.0 + 1e-12
 
     def test_nontrivial_bound_at_large_beta(self):
-        sampler = lambda rng, size: dm.gue_hamiltonian(4, rng, size)
-        est = fp.thermal_W(sampler, 6.0, 0.0, 1, 2000, seed=74)
+        est = fp.thermal_W(gue_ensemble(4), 6.0, 0.0, 1, 2000, seed=74)
         assert est.value < 1.0
         # |E(0)| >= 1/W gives a bound strictly above the trivial 1
         assert 1.0 / est.value > 1.0
@@ -415,17 +419,15 @@ class TestThermalW:
         # As beta -> infinity each thermal operator projects on its ground
         # state, so W -> E|<g|h>|^4 over independent Haar ground states,
         # 2/(d(d+1)) = 1/3 at d=2. Unshifted exponentials overflow here.
-        sampler = lambda rng, size: dm.gue_hamiltonian(2, rng, size)
-        est = fp.thermal_W(sampler, 1000.0, 0.0, 1, 200, seed=3)
+        est = fp.thermal_W(gue_ensemble(2), 1000.0, 0.0, 1, 200, seed=3)
         assert math.isfinite(est.value) and math.isfinite(est.std_error)
         assert abs(est.value - 1 / 3) <= 5 * est.std_error
 
     @pytest.mark.parametrize("samples", [1, 0])
     def test_needs_two_samples(self, samples):
         # one sample has no standard error: std(ddof=1) would be NaN
-        sampler = lambda rng, size: dm.gue_hamiltonian(2, rng, size)
         with pytest.raises(ValueError, match="mc_samples >= 2"):
-            fp.thermal_W(sampler, 0.0, 0.0, 1, samples, seed=3)
+            fp.thermal_W(gue_ensemble(2), 0.0, 0.0, 1, samples, seed=3)
 
 
 class TestBounds:

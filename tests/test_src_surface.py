@@ -1,0 +1,73 @@
+"""Static checks on the package source: no stranded imports, no dead functions.
+
+Both read src/designlab with the stdlib ast module only. A name counts as
+referenced when it appears anywhere in the package as a name, an attribute
+or an imported alias (so a re-export from __init__.py counts).
+"""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "designlab"
+TREES = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+
+# public functions with no caller in src/, each kept by the test that uses it
+TEST_BACKED = {
+    "cz_tableau": "test_cliffordgrp.py::test_cz_images",
+    "pauli_tableau": "test_cliffordgrp.py::test_pauli_tableaux_fix_paulis_up_to_sign",
+    "permutation_operator": "test_densemat.py::test_composition_exact",
+    "hamiltonian_evolution_ensemble": "test_densemat.py::test_hamiltonian_evolution_ensemble",
+    "haar_channel_reference": "test_densemat.py::test_k2_explicit_formula",
+    "random_sign_state_overlap": "test_densemat.py::test_scaling_and_bound",
+    "generalized_F_haar_reference": "test_framepot.py::test_haar_reference_values",
+    "regulated_oto": "test_otolab.py::test_maximally_mixed_reduction",
+    "restricted_average_commutator": "test_otolab.py::test_four_m_restricted_average_pointwise",
+    "measure_alpha": "test_acceptance.py::test_criterion_6_reconstruction",
+    "reconstruct_channel": "test_acceptance.py::test_criterion_6_reconstruction",
+    "channel_coefficients_direct": "test_otolab.py::test_round_trip_matches_direct",
+    "random_pauli": "test_cliffordgrp.py::test_conjugation_consistency_random",
+    "class_size": "test_wg.py::test_orthogonality",
+}
+
+
+def _imported(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+def _referenced(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+    return names
+
+
+@pytest.mark.parametrize("module", sorted(set(TREES) - {"__init__.py"}))
+def test_every_import_is_used(module):
+    tree = TREES[module]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(_imported(tree) - used) == []
+
+
+def test_every_public_function_has_a_caller():
+    referenced = set().union(*map(_referenced, TREES.values()))
+    uncalled = {node.name for tree in TREES.values() for node in tree.body
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                and node.name not in referenced}
+    # a new dead function fails the first; a wired-up one leaves a stale entry
+    assert sorted(uncalled - set(TEST_BACKED)) == []
+    assert sorted(set(TEST_BACKED) - uncalled) == []

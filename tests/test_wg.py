@@ -177,6 +177,12 @@ class TestWeingarten:
         with pytest.raises(ValueError, match="dimension"):
             wg.weingarten((1,), 0)
 
+    @pytest.mark.parametrize("mu", [(3, 0), (2, -1), (0,)])
+    def test_cycle_type_parts_must_be_positive(self, mu):
+        # a part 0 used to give Wg((3, 0), 4) = 0, where Wg((3,), 4) = 1/360
+        with pytest.raises(ValueError, match="parts must be positive"):
+            wg.weingarten(mu, 4)
+
 
 def cycle_count_q_matrix(k, d):
     """Q_{sigma,lambda} = d^(#cycles(sigma lambda)) built entry by entry:
