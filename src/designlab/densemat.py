@@ -21,13 +21,25 @@ chunk and its integrand's temporaries at a time, whatever the sample count.
 A chunk is MC_CHUNK draws, or fewer from d = 512 on, so that its d^2
 complex numbers per draw stay within CHUNK_BYTES (64 MiB); the budget
 counts Clifford tableaux as d x d draws too. A brickwork chunk also holds
-the temporaries of up to MC_CHUNK // 4 = 16 circuits being assembled.
+the temporaries of the circuits being assembled: up to MC_CHUNK // 4 = 16
+circuits, or ASSEMBLY_BYTES of them (4 at d = 64) per worker thread.
+
+Threads: `_Threads` is the one place that spreads work over the CPUs. It
+runs independent tasks on one worker thread per usable CPU (the time
+average's tau chunks, a brickwork chunk's sub-stacks) and joins them before
+the call that opened it returns. Work that calls BLAS from the workers runs
+there only with numpy's OpenBLAS pinned to one thread; otherwise inline.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import ctypes
+import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -41,6 +53,9 @@ DENSE_GUARD = 4096  # largest matrix side constructed anywhere
 UNITARY_TOL = 1e-10
 MC_CHUNK = 64  # draws per chunk of a streamed average; even, so chunks hold whole pairs
 CHUNK_BYTES = 2**26  # d x d complex draws one chunk may hold: all MC_CHUNK up to d = 256
+# d x d complex circuits one pooled brickwork sub-stack may hold: 4 at d = 64
+# balanced time against memory
+ASSEMBLY_BYTES = 2**18
 
 
 def chunk_size(d: int) -> int:
@@ -157,6 +172,89 @@ def pauli_to_dense(p: PauliString) -> np.ndarray:
         m = len(idx)
         idx = _STEP[idx[:, None, :, None], _ENTRY[letter][None, :, None, :]].reshape(2 * m, 2 * m)
     return (1j**p.phase) * _VALUES[idx]
+
+
+# ---------------------------------------------------------------------------
+# threads
+# ---------------------------------------------------------------------------
+
+def _workers() -> int:
+    """Worker threads of a pool: one per CPU this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's own OpenBLAS, looked up
+    through numpy's extension module; None where it exports no such pair
+    (another BLAS, or a numpy without numpy._core)."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+class _Threads:
+    """A worker pool, one thread per usable CPU, started by the first map of
+    more than one task on two or more CPUs, and the OpenBLAS pin; both end
+    on exit.
+
+    A map with blas=True runs its tasks on the pool only with OpenBLAS
+    pinned to one thread, so workers that each call zgemm do not each wake
+    BLAS threads as well. The first such map saves OpenBLAS's thread count
+    and sets 1; exit restores it. Where the setter is missing, such maps run
+    inline, one task after another.
+    """
+
+    def __init__(self):
+        self._pool = self._saved = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        try:
+            if self._pool is not None:
+                self._pool.shutdown()
+        finally:
+            if self._saved is not None:
+                _openblas_threads()[1](self._saved)
+
+    def map(self, fn: Callable, items, *, blas: bool = False) -> list:
+        items = list(items)
+        if len(items) < 2 or _workers() < 2 or (blas and not self._pin()):
+            return [fn(x) for x in items]
+        if self._pool is None:
+            # imported here: concurrent.futures loads logging, 0.8 MB of RSS
+            # that commands without pooled work need not carry
+            from concurrent.futures import ThreadPoolExecutor
+            self._pool = ThreadPoolExecutor(_workers())
+        return list(self._pool.map(fn, items))
+
+    def _pin(self) -> bool:
+        if self._saved is None and _openblas_threads() is not None:
+            get, set_ = _openblas_threads()
+            self._saved = get()
+            set_(1)
+        return self._saved is not None
+
+
+# the _Threads of the stream whose sampler is running, so that the sampler's
+# maps share its pool and its pin
+_STREAM_THREADS = contextvars.ContextVar("designlab_stream_threads", default=None)
+
+
+def _threads():
+    """The running stream's _Threads, left open on exit, or a new one."""
+    outer = _STREAM_THREADS.get()
+    return contextlib.nullcontext(outer) if outer is not None else _Threads()
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +415,23 @@ class Ensemble:
 
     def stream(self, seed: int, count: int):
         """The draws of block (seed, 0) in chunks of chunk_size(dim): the
-        same draws as sample_block(seed, count), never all held at once."""
+        same draws as sample_block(seed, count), never all held at once.
+
+        The stream's samplers share one _Threads, closed when the stream
+        ends or is closed: a pin set by the first pooled chunk holds for the
+        caller's work on every chunk too (its pair traces then run on one
+        BLAS thread, rather than against the pool).
+        """
         rng = np.random.default_rng([seed, 0])
         size = chunk_size(self.dim)
-        for lo in range(0, count, size):
-            yield self.sampler(rng, min(size, count - lo))
+        with _threads() as threads:
+            for lo in range(0, count, size):
+                token = _STREAM_THREADS.set(threads)
+                try:
+                    chunk = self.sampler(rng, min(size, count - lo))
+                finally:
+                    _STREAM_THREADS.reset(token)
+                yield chunk
 
     def average(self, f: Callable, *, pairs: bool = False,
                 mc_samples: int | None = None, seed: int | None = None) -> Estimate:
@@ -348,8 +458,11 @@ class Ensemble:
             return Estimate(total, 0.0, n * n if pairs else n, method="exact")
         check_mc_samples(mc_samples)
         seed = self.resolve_seed(seed)
-        chunks = self.stream(seed, 2 * mc_samples if pairs else mc_samples)
-        vals = [f(c[0::2], c[1::2]) if pairs else f(c) for c in chunks]
+        # closed here, not when the generator is collected: a traceback
+        # would keep it, and its threads and pin, alive
+        with contextlib.closing(self.stream(seed, 2 * mc_samples if pairs else mc_samples)) \
+                as chunks:
+            vals = [f(c[0::2], c[1::2]) if pairs else f(c) for c in chunks]
         return mc_estimate(np.concatenate(vals), seed)
 
     def resolve_seed(self, seed: int | None) -> int:
@@ -412,12 +525,17 @@ def brickwork_ensemble(n: int, depth: int, seed: int | None = None) -> Ensemble:
     choice; nothing here depends on it beyond nearest-neighbour locality.
 
     A draw of `size` circuits takes all their gates from one `haar_unitary`
-    stack, circuit-major in layer order. Circuits are assembled in stacks of
-    at most MC_CHUNK // 4: each gate is written into a zeroed stack as
-    I (x) g (x) I by index, and whole stacks are multiplied, each gate onto
-    its layer and each layer onto the circuit, skipping the products by the
-    identity. Every product is the one a circuit-at-a-time loop of `kron`
-    embeddings would make, so the draws are the same bit for bit.
+    stack, circuit-major in layer order. Circuits are assembled in
+    sub-stacks of at most MC_CHUNK // 4 circuits and ASSEMBLY_BYTES: each
+    gate is written into a zeroed stack as I (x) g (x) I by index, and whole
+    stacks are multiplied, each gate onto its layer and each layer onto the
+    circuit, skipping the products by the identity. Once ASSEMBLY_BYTES sets
+    the sub-stack size (d >= 64), the sub-stacks run on the worker threads
+    with OpenBLAS pinned to one thread (`_Threads`); below that a zgemm is
+    too short to gain from the pool, and they run inline. Every product is
+    still one zgemm per matrix, the one a circuit-at-a-time loop of `kron`
+    embeddings would make, so the draws are the same bit for bit on any
+    number of threads.
     """
     if n < 2:
         raise ValueError("brickwork needs at least 2 qubits")
@@ -437,11 +555,14 @@ def brickwork_ensemble(n: int, depth: int, seed: int | None = None) -> Ensemble:
         embed.append((base + np.arange(0, 4 * r, r)[:, None, None],
                       base + np.arange(0, 4 * r, r)[:, None]))
 
+    per_task = max(1, min(MC_CHUNK // 4, ASSEMBLY_BYTES // (16 * d * d)))
+
     def sampler(rng, size):
         stack = haar_unitary(4, rng, (size, n_gates))  # circuit-major gate order
         out = np.empty((size, d, d), dtype=complex)
-        for lo in range(0, size, MC_CHUNK // 4):
-            sub = stack[lo:lo + MC_CHUNK // 4]
+
+        def assemble(lo):
+            sub = stack[lo:lo + per_task]
             gates = iter(np.moveaxis(sub, 1, 0))
             u = None
             for layer in layers:
@@ -454,6 +575,14 @@ def brickwork_ensemble(n: int, depth: int, seed: int | None = None) -> Ensemble:
                 if layer_u is not None:
                     u = layer_u if u is None else layer_u @ u
             out[lo:lo + len(sub)] = u
+
+        starts = range(0, size, per_task)
+        if per_task < MC_CHUNK // 4:
+            with _threads() as threads:
+                threads.map(assemble, starts, blas=True)
+        else:
+            for lo in starts:
+                assemble(lo)
         return out
 
     return Ensemble("brickwork", d, sampler=sampler, seed=seed)
@@ -500,10 +629,11 @@ def kfold_channel_apply(ens: Ensemble, a: np.ndarray, k: int,
     seed = ens.resolve_seed(seed)
     acc = np.zeros_like(a)
     acc2 = np.zeros(a.shape)
-    for el in itertools.chain.from_iterable(ens.stream(seed, n)):
-        term = _kfold_conjugate(element_to_matrix(el), a, k)
-        acc += term
-        acc2 += np.abs(term) ** 2
+    with contextlib.closing(ens.stream(seed, n)) as chunks:
+        for el in itertools.chain.from_iterable(chunks):
+            term = _kfold_conjugate(element_to_matrix(el), a, k)
+            acc += term
+            acc2 += np.abs(term) ** 2
     mean = acc / n
     var = np.maximum((acc2 - n * np.abs(mean) ** 2) / (n - 1), 0.0)
     return ChannelApplyResult(mean, np.sqrt(var / n), n, "monte-carlo")

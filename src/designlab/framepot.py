@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -20,7 +19,8 @@ import numpy as np
 
 from . import paulialg, wg
 from .cliffordgrp import CliffordTableau, trace_sq
-from .densemat import DENSE_GUARD, Ensemble, check_state, dagger, element_to_matrix, trace
+from .densemat import (DENSE_GUARD, Ensemble, _threads, check_state, dagger, element_to_matrix,
+                       trace)
 from .estimate import Estimate
 from .otolab import tabled_correlator
 from .paulialg import PauliString
@@ -127,13 +127,6 @@ def analytic_time_average(k: int, d: int) -> int:
     return math.factorial(k) * d**k
 
 
-def _workers() -> int:
-    """Threads for the tau chunks: one per CPU this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _trapezoid_double_average(spectrum, k, t_max, n_grid) -> float:
     """2D trapezoidal average of |tr exp(-iH(t1-t2))|^(2k) over [0,t_max]^2.
 
@@ -142,9 +135,12 @@ def _trapezoid_double_average(spectrum, k, t_max, n_grid) -> float:
     algebraic rewrite of the full 2D rule, not an extra approximation.
 
     The tau grid is cut into chunks of TAU_CHUNK_BYTES of complex phases,
-    evaluated on a thread per usable CPU (numpy releases the GIL in exp, outer
-    and sum). Each tau row is computed alone, so f, and the result, are the
-    same bits for any chunk size and worker count.
+    evaluated on the worker threads of densemat._Threads (numpy releases the
+    GIL in exp, outer and sum). Each tau row is computed alone, so f is the
+    same bits for any chunk size and worker count. The result is too only at
+    a fixed OpenBLAS thread count: the weighted sum is a BLAS ddot, which
+    splits its sum over the BLAS threads above 10,000 points. It runs after
+    the pool has closed, outside any pin.
     """
     energies = np.asarray(spectrum, dtype=float)
     h = t_max / (n_grid - 1)
@@ -158,12 +154,8 @@ def _trapezoid_double_average(spectrum, k, t_max, n_grid) -> float:
             phases = np.exp(-1j * np.outer(taus[lo:lo + rows], energies))
             f[lo:lo + rows] = np.abs(phases.sum(axis=1)) ** (2 * k)
 
-    # imported here: concurrent.futures loads logging, 0.8 MB of RSS that
-    # commands without a time average need not carry
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(_workers()) as pool:
-        list(pool.map(row_powers, range(0, n_grid, rows)))
+    with _threads() as threads:
+        threads.map(row_powers, range(0, n_grid, rows))
     c = np.empty(n_grid)
     c[0] = 0.25 + (n_grid - 2) + 0.25
     c[1:-1] = (n_grid - 2 - np.arange(1, n_grid - 1)) + 1.0

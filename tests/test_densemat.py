@@ -178,17 +178,22 @@ class TestStackedDraws:
         assert np.array_equal(dm.hamiltonian_evolution_ensemble(h, 3.0).sample_block(5, 9), want)
 
     # the brickwork sampler draws a chunk's gates in one stack, embeds them by
-    # index and multiplies stacks of at most MC_CHUNK // 4 circuits: it must be
-    # the circuit-at-a-time oracle bit for bit, across the sub-stack boundary
+    # index and multiplies sub-stacks of at most 16 circuits and ASSEMBLY_BYTES
+    # (16 inline at n = 5; 4 at n = 6 and 1 at n = 7 on the pool) with 1, 2
+    # or 3 workers: it must be the circuit-at-a-time oracle bit for bit,
+    # across the sub-stack boundary
     @pytest.mark.parametrize("n,depth", [(2, 1), (2, 3), (3, 1), (3, 4), (5, 5), (6, 6),
                                          (7, 3)])
-    @pytest.mark.parametrize("size", [1, 16, 17, 64])
-    def test_brickwork_is_the_circuit_at_a_time_oracle(self, n, depth, size):
-        stacked_rng, single_rng = (np.random.default_rng([n, depth]) for _ in range(2))
-        stack = dm.brickwork_ensemble(n, depth).sampler(stacked_rng, size)
+    @pytest.mark.parametrize("size", [1, 3, 4, 5, 16, 17, 64])
+    def test_brickwork_is_the_circuit_at_a_time_oracle(self, monkeypatch, n, depth, size):
+        single_rng = np.random.default_rng([n, depth])
         singles = np.stack([brickwork_circuit(n, depth, single_rng) for _ in range(size)])
-        assert stack.tobytes() == singles.tobytes()
-        assert stacked_rng.bit_generator.state == single_rng.bit_generator.state
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(dm, "_workers", lambda: workers)
+            stacked_rng = np.random.default_rng([n, depth])
+            stack = dm.brickwork_ensemble(n, depth).sampler(stacked_rng, size)
+            assert stack.tobytes() == singles.tobytes()
+            assert stacked_rng.bit_generator.state == single_rng.bit_generator.state
 
 
 class TestGue:
@@ -482,6 +487,62 @@ class TestStreamedAverage:
         assert len(streamed) == len(block) == count
         for a, b in zip(block, streamed):
             assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+
+@pytest.mark.skipif(dm._openblas_threads() is None,
+                    reason="numpy's BLAS exports no thread-count setter")
+class TestOpenblasPin:
+    # a d = 64 brickwork chunk splits into sub-stacks, so its stream pins
+    # OpenBLAS to one thread from the first chunk to the end; a Haar stream
+    # never pools. 100 pairs are chunks of 64, 64, 64 and 8 draws.
+    @pytest.fixture
+    def blas_threads(self, monkeypatch):
+        monkeypatch.setattr(dm, "_workers", lambda: 2)
+        get, set_ = dm._openblas_threads()
+        saved = get()
+        set_(2)
+        try:
+            yield get
+        finally:
+            set_(saved)
+
+    def test_brickwork_stream_pins_and_restores(self, blas_threads):
+        seen = []
+
+        def reads_the_count(a, b):
+            seen.append(blas_threads())
+            return dm.trace(a).real
+
+        dm.brickwork_ensemble(6, 2).average(reads_the_count, pairs=True, mc_samples=100,
+                                            seed=1)
+        assert seen == [1] * 4 and blas_threads() == 2
+        dm.brickwork_ensemble(6, 2).sampler(np.random.default_rng(1), 8)
+        assert blas_threads() == 2
+
+    def test_restored_when_the_integrand_raises(self, blas_threads):
+        seen = []
+
+        def fails_on_chunk_two(a, b):
+            seen.append(blas_threads())
+            if len(seen) == 2:
+                raise RuntimeError("integrand failed")
+            return dm.trace(a).real
+
+        # the held traceback keeps the stream alive: only closing it unpins
+        with pytest.raises(RuntimeError, match="integrand failed") as failure:
+            dm.brickwork_ensemble(6, 2).average(fails_on_chunk_two, pairs=True,
+                                                mc_samples=100, seed=1)
+        assert seen == [1, 1] and blas_threads() == 2 and failure.type is RuntimeError
+
+    def test_haar_stream_is_never_pinned(self, blas_threads):
+        seen = []
+
+        def reads_the_count(a, b):
+            seen.append(blas_threads())
+            return dm.trace(a).real
+
+        dm.haar_ensemble(64).average(reads_the_count, pairs=True, mc_samples=100, seed=1)
+        assert seen == [2] * 4 and blas_threads() == 2
 
 
 class TestMonteCarloGuard:

@@ -238,7 +238,7 @@ class TestTimeAverages:
         if chunk != self.DEFAULT_ROWS:
             monkeypatch.setattr(fp, "TAU_CHUNK_BYTES", chunk * 16 * len(spectrum))
         for workers in (1, 2, 3):
-            monkeypatch.setattr(fp, "_workers", lambda: workers)
+            monkeypatch.setattr(dm, "_workers", lambda: workers)
             assert fp._trapezoid_double_average(spectrum, k, t_max, n_grid) == one_block
 
     def test_chunk_rows_from_the_byte_budget(self, monkeypatch):
@@ -253,7 +253,8 @@ class TestTimeAverages:
         assert rows == [1] * 16
 
     def test_no_thread_outlives_the_call(self, monkeypatch):
-        # the pools are kept referenced, so only their shutdown can end the workers
+        # the pools are kept referenced, so only their shutdown can end the
+        # workers: one pool per tau grid, one for the whole brickwork stream
         pools = []
 
         class Recorded(futures.ThreadPoolExecutor):
@@ -262,12 +263,17 @@ class TestTimeAverages:
                 pools.append(self)
 
         monkeypatch.setattr(futures, "ThreadPoolExecutor", Recorded)
-        monkeypatch.setattr(fp, "_workers", lambda: 3)
+        monkeypatch.setattr(dm, "_workers", lambda: 3)
         before = threading.active_count()
         est = fp.time_averaged_frame_potential([0.0, 1.0, math.sqrt(2.0)], 1, 50.0,
                                                n_grid=200_000)
         assert threading.active_count() == before
         assert len(pools) == 2 and est.value > 0
+        if dm._openblas_threads() is not None:  # pinned maps run inline without one
+            est = fp.frame_potential_mc(dm.brickwork_ensemble(6, 2), 1, 40, seed=3)
+            assert threading.active_count() == before
+            assert len(pools) == 3 and est.value > 0
+        assert [pool._max_workers for pool in pools] == [3] * len(pools)
 
 
 class TestGeneralizedPotentials:
