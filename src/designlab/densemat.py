@@ -52,6 +52,7 @@ from .paulialg import PauliString
 DENSE_GUARD = 4096  # largest matrix side constructed anywhere
 UNITARY_TOL = 1e-10
 MC_CHUNK = 64  # draws per chunk of a streamed average; even, so chunks hold whole pairs
+MAX_MC_SAMPLES = 10**7  # an average holds every value, about 27 B a pair: 270 MB at the cap
 CHUNK_BYTES = 2**26  # d x d complex draws one chunk may hold: all MC_CHUNK up to d = 256
 # d x d complex circuits one pooled brickwork sub-stack may hold: 4 at d = 64
 # balanced time against memory
@@ -94,9 +95,11 @@ def check_hermitian(h: np.ndarray) -> np.ndarray:
 
 
 def check_mc_samples(mc_samples: int | None) -> int:
-    """At least 2 Monte-Carlo samples, so a ddof=1 standard error exists."""
-    if mc_samples is None or mc_samples < 2:
-        raise ValueError(f"Monte-Carlo estimates need mc_samples >= 2, got {mc_samples}")
+    """At least 2 Monte-Carlo samples, so a ddof=1 standard error exists, and
+    at most MAX_MC_SAMPLES, so the values an average holds fit in memory."""
+    if mc_samples is None or not 2 <= mc_samples <= MAX_MC_SAMPLES:
+        raise ValueError(f"Monte-Carlo estimates need mc_samples >= 2 and <= {MAX_MC_SAMPLES}, "
+                         f"got {mc_samples}")
     return mc_samples
 
 
@@ -641,23 +644,18 @@ def kfold_channel_apply(ens: Ensemble, a: np.ndarray, k: int,
 
 def haar_channel_reference(a: np.ndarray, k: int, d: int) -> np.ndarray:
     """Exact Haar k-fold channel via the Weingarten decomposition:
-    sum_{pi,sigma} Wg_{pi,sigma} W_pi tr{W_sigma A}, with Wg = wg.q_inverse
-    (the pseudo-inverse of Q when k > d)."""
+    sum_{pi,sigma} Wg(pi sigma, d) W_pi tr{W_sigma A}, one `wg.contract` per
+    W_pi coefficient (Wg is the pseudo-inverse of Q when k > d)."""
     a = np.asarray(a, dtype=complex)
     side = d**k
     if a.shape != (side, side):
         raise ValueError(f"operator must be {side} x {side}")
     if side > DENSE_GUARD:
         raise ValueError("dense guard exceeded")
-    perms = wg.permutations_of(k)
-    qinv = wg.q_inverse(k, d)
-    ws = [wg.permutation_matrix(pi, d) for pi in perms]
+    ws = [wg.permutation_matrix(pi, d) for pi in wg.permutations_of(k)]
     traces = [np.trace(w @ a) for w in ws]
-    out = np.zeros_like(a)
-    for i, w in enumerate(ws):
-        coeff = sum(float(qinv[i][j]) * traces[j] for j in range(len(perms)))
-        out += coeff * w
-    return out
+    return sum(complex(wg.contract(k, d, unit, traces)) * w
+               for unit, w in zip(np.eye(len(ws), dtype=int), ws))
 
 
 # ---------------------------------------------------------------------------

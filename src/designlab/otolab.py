@@ -221,32 +221,18 @@ def haar_average_oto_exact(a_ops, b_ops) -> tuple[Fraction, Fraction]:
     complex rational (re, im), for every k and d.
 
     Expands the k-fold twirl in permutation operators with exact Weingarten
-    coefficients (for k > d, the pseudo-inverse of Q); the operator traces
+    coefficients (for k > d, the pseudo-inverse of Q), contracted by
+    `wg.contract` on the real and imaginary parts; the operator traces
     against permutations reduce to cycle products of exact Pauli traces.
     """
-    a_ops = tuple(a_ops)
-    b_ops = tuple(b_ops)
-    k = len(a_ops)
-    n = a_ops[0].n
-    d = 2**n
+    a_ops, b_ops = tuple(a_ops), tuple(b_ops)
+    k, d = len(a_ops), 2 ** a_ops[0].n
     perms = wg.permutations_of(k)
-    qinv = wg.q_inverse(k, d)
     cyc = wg.trace_cycle(k)
-    tr_b = [trace_tensor_with_permutation(b_ops, sigma) for sigma in perms]
-    tr_a = [trace_tensor_with_permutation(a_ops, wg.compose(pi, cyc)) for pi in perms]
-    re = Fraction(0)
-    im = Fraction(0)
-    for i in range(len(perms)):
-        ar, ai = tr_a[i]
-        if ar == 0 and ai == 0:
-            continue
-        for j in range(len(perms)):
-            br, bi = tr_b[j]
-            if br == 0 and bi == 0:
-                continue
-            w = qinv[i][j]
-            re += w * (ar * br - ai * bi)
-            im += w * (ar * bi + ai * br)
+    br, bi = zip(*(trace_tensor_with_permutation(b_ops, sigma) for sigma in perms))
+    ar, ai = zip(*(trace_tensor_with_permutation(a_ops, wg.compose(pi, cyc)) for pi in perms))
+    re = wg.contract(k, d, ar, br) - wg.contract(k, d, ai, bi)
+    im = wg.contract(k, d, ar, bi) + wg.contract(k, d, ai, br)
     return re / d, im / d
 
 

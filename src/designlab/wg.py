@@ -6,11 +6,12 @@ closed-form Haar averages they produce. Everything in this module is exact:
 characters and dimensions are integers, Weingarten values and Q tables are
 `fractions.Fraction`s. Floats appear only when callers convert.
 
-There is one Weingarten route for every k and d: `q_inverse` tabulates the
-class function `weingarten`, a sum over the partitions of k with at most d
-rows (Collins & Sniady, math-ph/0402073), over S_k x S_k. That is the inverse
-of Q for k <= d and its pseudo-inverse for k > d, where Q is singular. Rational
-Gauss-Jordan elimination of Q is kept in the tests, as their oracle.
+There is one Weingarten route for every k and d: `contract` sums
+left[pi] Wg(pi sigma, d) right[sigma] over S_k x S_k by the class of pi sigma,
+read from the cached int8 product-class index of S_k, as Wg is the class
+function `weingarten` (Collins & Sniady, math-ph/0402073). `q_matrix` and
+`q_inverse` are views of that index. Rational Gauss-Jordan elimination of Q and
+the k!^2 walk over q_inverse stay in the tests, as their oracles.
 
 Permutations are tuples `pi` of length k with pi[j] = image of slot j, and
 composition follows (sigma tau)(j) = sigma(tau(j)). The permutation operator
@@ -104,21 +105,10 @@ def trace_cycle(k: int) -> tuple[int, ...]:
 
 
 def permutation_matrix(pi: tuple[int, ...], d: int) -> np.ndarray:
-    """Dense W_pi on (C^d)^(x)k : the factor in slot j moves to slot pi(j)."""
-    k = len(pi)
-    dim = d**k
-    w = np.zeros((dim, dim))
-    pinv = inverse(pi)
-    for a in itertools.product(range(d), repeat=k):
-        b = tuple(a[pinv[j]] for j in range(k))
-        row = 0
-        for bj in b:
-            row = row * d + bj
-        col = 0
-        for aj in a:
-            col = col * d + aj
-        w[row, col] = 1.0
-    return w
+    """Dense W_pi on (C^d)^(x)k : the factor in slot j moves to slot pi(j),
+    so row b holds its 1 in the column a with a[j] = b[pi(j)]."""
+    cols = np.arange(d ** len(pi)).reshape((d,) * len(pi))
+    return np.eye(d ** len(pi))[np.transpose(cols, inverse(pi)).ravel()]
 
 
 def class_size(mu: tuple[int, ...]) -> int:
@@ -226,33 +216,56 @@ def weingarten(mu: tuple[int, ...], d: int) -> Fraction:
     return total / math.factorial(k)
 
 
-def _class_table(k: int, value: dict) -> tuple[tuple, ...]:
-    """The S_k x S_k table of a class function: entry (pi, sigma) is
-    value[cycle_type(pi sigma)], indexed by permutations_of(k) order."""
-    perms = permutations_of(k)
-    by_product = {pi: value[cycle_type(pi)] for pi in perms}
-    return tuple(tuple(by_product[compose(pi, sigma)] for sigma in perms) for pi in perms)
+@lru_cache(maxsize=None)
+def _product_classes(k: int) -> np.ndarray:
+    """The k! x k! int8 product-class index of S_k: entry (pi, sigma) is the
+    place of cycle_type(pi sigma) in partitions(k), built a row at a time."""
+    perms, parts = permutations_of(k), partitions(k)
+    class_of = {pi: parts.index(cycle_type(pi)) for pi in perms}
+    return np.stack([np.array([class_of[compose(pi, s)] for s in perms], np.int8) for pi in perms])
+
+
+@lru_cache(maxsize=None)
+def _weingarten_values(k: int, d: int) -> tuple[Fraction, ...]:
+    return tuple(weingarten(mu, d) for mu in partitions(k))
+
+
+def contract(k: int, d: int, left, right):
+    """sum over pi, sigma in S_k of left[pi] Wg(pi sigma, d) right[sigma]: a
+    Fraction for integer vectors, a complex for complex ones. The products go
+    into one bucket per class of pi sigma, so p(k) values multiply instead of
+    k!^2. Buckets are int64 while max|left| max|right| times the number of
+    terms is below 2^63, and Python ints past it."""
+    left, right = np.asarray(left), np.asarray(right)
+    rows, cols = np.flatnonzero(left), np.flatnonzero(right)
+    left, right = left[rows], right[cols]
+    scalar = complex if np.iscomplexobj(left) or np.iscomplexobj(right) else int
+    if scalar is int and max(map(abs, left.tolist()), default=0) * \
+            max(map(abs, right.tolist()), default=0) * left.size * right.size >= 2**63:
+        left, right = left.astype(object), right.astype(object)
+    products = np.outer(left, right)
+    classes = _product_classes(k)[np.ix_(rows, cols)]
+    return sum(w * scalar(products[classes == c].sum())
+               for c, w in enumerate(_weingarten_values(k, d)))
+
+
+def _class_table(k: int, values) -> tuple[tuple, ...]:
+    """The S_k x S_k table of a class function, values[class of pi sigma]."""
+    return tuple(tuple(values[c] for c in row) for row in _product_classes(k).tolist())
 
 
 @lru_cache(maxsize=None)
 def q_matrix(k: int, d: int) -> tuple[tuple[int, ...], ...]:
     """Q_{sigma,lambda} = d^(#cycles(sigma lambda)) over S_k x S_k, exact
     integers, indexed by permutations_of(k) order."""
-    return _class_table(k, {mu: d ** len(mu) for mu in partitions(k)})
+    return _class_table(k, [d ** len(mu) for mu in partitions(k)])
 
 
 @lru_cache(maxsize=None)
 def q_inverse(k: int, d: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact Weingarten table of q_matrix(k, d), indexed like it.
-
-    Q depends only on the product of its indices, and so does this table:
-    entry (pi, sigma) is the class function weingarten(cycle_type(pi sigma), d),
-    evaluated once per partition of k. For k <= d it is the inverse of Q; for
-    k > d, where Q is singular, it is the Moore-Penrose pseudo-inverse. The
-    tests check it against rational Gauss-Jordan elimination of q_matrix, and
-    the pseudo-inverse identities exactly.
-    """
-    return _class_table(k, {mu: weingarten(mu, d) for mu in partitions(k)})
+    """Exact Weingarten table of q_matrix(k, d): the inverse of Q for k <= d,
+    its Moore-Penrose pseudo-inverse for k > d, where Q is singular."""
+    return _class_table(k, _weingarten_values(k, d))
 
 
 def haar_frame_potential_exact(k: int, d: int) -> Fraction:

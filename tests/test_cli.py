@@ -376,6 +376,10 @@ class TestEdgeInputs:
         "bounds --f 2 --k 2 --n -3",
         "scramble --n 0",
         "scramble --n -1",
+        # past MAX_MC_SAMPLES, which used to run until memory was gone
+        "framepot --ensemble haar --n 1 --k 1 --samples 10000001 --seed 1",
+        "oto --ensemble haar --n 1 --samples 10000001 --seed 1",
+        "thermal --n 1 --beta 0 --t 1 --k 1 --samples 10000001 --seed 1",
     ])
     def test_is_a_config_error(self, capsys, argv):
         assert_config_error(capsys, *argv.split())

@@ -546,24 +546,33 @@ class TestOpenblasPin:
 
 
 class TestMonteCarloGuard:
-    # one draw has no spread: kfold_channel_apply used to report a std error of 0
+    # one draw has no spread: kfold_channel_apply used to report a std error of 0;
+    # past MAX_MC_SAMPLES an average used to run until memory was gone
     ESTIMATORS = {
-        "oto_ensemble_average": lambda ens: otolab.oto_ensemble_average(
-            ens, OtoSpec((Z, Z), (Z, Z)), mc_samples=1),
-        "frame_potential_mc": lambda ens: fp.frame_potential_mc(ens, 1, 1),
-        "generalized_F": lambda ens: fp.generalized_F(ens, np.eye(2) / 2, 1, mc_samples=1),
-        "generalized_G": lambda ens: fp.generalized_G(ens, np.eye(2) / 2, 1, mc_samples=1),
-        "kfold_channel_apply": lambda ens: dm.kfold_channel_apply(
-            ens, np.diag([1, -1]), 1, mc_samples=1),
-        "thermal_W": lambda ens: fp.thermal_W(
+        "oto_ensemble_average": lambda ens, m: otolab.oto_ensemble_average(
+            ens, OtoSpec((Z, Z), (Z, Z)), mc_samples=m),
+        "frame_potential_mc": lambda ens, m: fp.frame_potential_mc(ens, 1, m),
+        "generalized_F": lambda ens, m: fp.generalized_F(ens, np.eye(2) / 2, 1, mc_samples=m),
+        "generalized_G": lambda ens, m: fp.generalized_G(ens, np.eye(2) / 2, 1, mc_samples=m),
+        "kfold_channel_apply": lambda ens, m: dm.kfold_channel_apply(
+            ens, np.diag([1, -1]), 1, mc_samples=m),
+        "thermal_W": lambda ens, m: fp.thermal_W(
             dm.Ensemble("gue", 2, sampler=lambda rng, size: dm.gue_hamiltonian(2, rng, size)),
-            0.0, 0.0, 1, 1, seed=1),
+            0.0, 0.0, 1, m, seed=1),
     }
 
     @pytest.mark.parametrize("name", list(ESTIMATORS))
     def test_one_sample_is_rejected(self, name):
         with pytest.raises(ValueError, match="mc_samples >= 2"):
-            self.ESTIMATORS[name](dm.haar_ensemble(2, seed=1))
+            self.ESTIMATORS[name](dm.haar_ensemble(2, seed=1), 1)
+
+    @pytest.mark.parametrize("name", list(ESTIMATORS))
+    def test_samples_past_the_cap_are_rejected(self, name):
+        with pytest.raises(ValueError, match=f"mc_samples >= 2 and <= {dm.MAX_MC_SAMPLES},"):
+            self.ESTIMATORS[name](dm.haar_ensemble(2, seed=1), dm.MAX_MC_SAMPLES + 1)
+
+    def test_cap_is_inclusive(self):
+        assert dm.check_mc_samples(dm.MAX_MC_SAMPLES) == dm.MAX_MC_SAMPLES
 
 
 class TestHaarChannelReference:

@@ -173,7 +173,32 @@ class TestOrderingExpansions:
         assert bf == (b, d, b.adjoint(), d.adjoint())
 
 
+def loop_haar_average_oto(a_ops, b_ops):
+    """The k!^2 walk over wg.q_inverse that haar_average_oto_exact replaced
+    by wg.contract: its oracle."""
+    k, d = len(a_ops), 2 ** a_ops[0].n
+    perms = wg.permutations_of(k)
+    qinv = wg.q_inverse(k, d)
+    cyc = wg.trace_cycle(k)
+    tr_b = [otolab.trace_tensor_with_permutation(b_ops, s) for s in perms]
+    tr_a = [otolab.trace_tensor_with_permutation(a_ops, wg.compose(p, cyc)) for p in perms]
+    re = im = F(0)
+    for i, (ar, ai) in enumerate(tr_a):
+        if ar or ai:
+            for j, (br, bi) in enumerate(tr_b):
+                if br or bi:
+                    re += qinv[i][j] * (ar * br - ai * bi)
+                    im += qinv[i][j] * (ar * bi + ai * br)
+    return re / d, im / d
+
+
 class TestHaarOracle:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_twelve_point_word_matches_the_loop(self, n):
+        a_ops, b_ops = [from_label("X" * n)] * 6, [from_label("Z" * n)] * 6
+        got = haar_average_oto_exact(a_ops, b_ops)
+        assert got == loop_haar_average_oto(a_ops, b_ops) and got[0] != 0
+
     def test_trace_tensor_matches_dense(self):
         rng = np.random.default_rng(4)
         for k in (2, 3, 4):

@@ -71,3 +71,21 @@ def test_every_public_function_has_a_caller():
     # a new dead function fails the first; a wired-up one leaves a stale entry
     assert sorted(uncalled - set(TEST_BACKED)) == []
     assert sorted(set(TEST_BACKED) - uncalled) == []
+
+
+def _reads_of(tree: ast.AST, name: str) -> int:
+    """Uses of `name` as a name or an attribute; a re-export is not a read."""
+    return sum(isinstance(node, ast.Name) and node.id == name
+               or isinstance(node, ast.Attribute) and node.attr == name
+               for node in ast.walk(tree))
+
+
+def test_one_weingarten_route():
+    # every Weingarten sum goes through wg.contract; the k!^2 table is read
+    # only by the Q Q^-1 row of the verify battery
+    verify_row = next(node for node in TREES["cli.py"].body
+                      if isinstance(node, ast.FunctionDef) and node.name == "_verify_checks")
+    reads = {module: _reads_of(tree, "q_inverse") for module, tree in TREES.items()
+             if module != "wg.py"}
+    reads["cli.py"] -= _reads_of(verify_row, "q_inverse")
+    assert {module: count for module, count in reads.items() if count} == {}

@@ -276,6 +276,94 @@ class TestQMatrix:
         assert qw != [[int(i == j) for j in range(len(q))] for i in range(len(q))]
 
 
+def loop_contract(k, d, left, right):
+    """The k!^2 walk over q_inverse(k, d), skipping zero entries: the oracle
+    for wg.contract."""
+    qinv = wg.q_inverse(k, d)
+    total = F(0)
+    for i, lv in enumerate(left):
+        if lv == 0:
+            continue
+        for j, rv in enumerate(right):
+            if rv != 0:
+                total += qinv[i][j] * lv * rv
+    return total
+
+
+def seeded_vector(rng, k, bound=5):
+    """Integers in [-bound, bound], each entry zero with probability 1/2 and
+    all but about 60 entries zero at k = 6, to keep the oracle walk short."""
+    m = math.factorial(k)
+    vals = rng.integers(-bound, bound + 1, size=m)
+    keep = rng.random(m) < (0.5 if k < 6 else 60 / m)
+    return [int(v) for v in vals * keep]
+
+
+class TestContract:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_index_matches_cycle_types(self, k):
+        perms = wg.permutations_of(k)
+        parts = wg.partitions(k)
+        index = wg._product_classes(k)
+        assert index.dtype == np.int8 and index.shape == (len(perms),) * 2
+        for row, pi in zip(index.tolist(), perms):
+            assert [parts[c] for c in row] == [wg.cycle_type(wg.compose(pi, s)) for s in perms]
+
+    def test_index_rows_at_k6(self):
+        perms = wg.permutations_of(6)
+        parts = wg.partitions(6)
+        index = wg._product_classes(6)
+        assert index.dtype == np.int8 and index.shape == (720, 720)
+        rng = np.random.default_rng(6)
+        for i in [0, *rng.integers(1, 720, size=4)]:
+            assert [parts[c] for c in index[i].tolist()] == \
+                [wg.cycle_type(wg.compose(perms[i], s)) for s in perms]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_integer_vectors_match_the_loop(self, k, d):
+        rng = np.random.default_rng(10 * k + d)
+        left, right = seeded_vector(rng, k), seeded_vector(rng, k)
+        got = wg.contract(k, d, left, right)
+        assert isinstance(got, Fraction) and got == loop_contract(k, d, left, right)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_gaussian_integer_vectors_match_the_loop(self, k, d):
+        # (ar + i ai)(br + i bi): four real contractions against one complex walk
+        rng = np.random.default_rng(100 * k + d)
+        ar, ai, br, bi = (seeded_vector(rng, k) for _ in range(4))
+        qinv = wg.q_inverse(k, d)
+        re = im = F(0)
+        for i, j in itertools.product(range(len(ar)), repeat=2):
+            if (ar[i] or ai[i]) and (br[j] or bi[j]):
+                re += qinv[i][j] * (ar[i] * br[j] - ai[i] * bi[j])
+                im += qinv[i][j] * (ar[i] * bi[j] + ai[i] * br[j])
+        assert wg.contract(k, d, ar, br) - wg.contract(k, d, ai, bi) == re
+        assert wg.contract(k, d, ar, bi) + wg.contract(k, d, ai, br) == im
+
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_zero_vectors(self, k):
+        zero = [0] * math.factorial(k)
+        ones = [1] * math.factorial(k)
+        for left, right in ((zero, zero), (zero, ones), (ones, zero)):
+            assert wg.contract(k, 2, left, right) == 0
+
+    def test_products_past_int64_stay_exact(self):
+        # 6^2 terms of size up to 2^120 would wrap in int64
+        rng = np.random.default_rng(3)
+        left = [int(v) << 60 for v in rng.integers(-9, 10, size=6)]
+        right = [int(v) << 60 for v in rng.integers(-9, 10, size=6)]
+        assert wg.contract(3, 2, left, right) == loop_contract(3, 2, left, right)
+
+    def test_complex_vectors(self):
+        rng = np.random.default_rng(4)
+        left = rng.normal(size=24) + 1j * rng.normal(size=24)
+        right = rng.normal(size=24) + 1j * rng.normal(size=24)
+        qinv = np.array(wg.q_inverse(4, 3), dtype=float)
+        assert wg.contract(4, 3, left, right) == pytest.approx(left @ qinv @ right, abs=1e-12)
+
+
 class TestPermutationCombinatorics:
     def test_compose_convention(self):
         sigma = (1, 2, 0)
