@@ -32,28 +32,16 @@ EXIT_CONFIG = 2
 # ensemble construction
 # ---------------------------------------------------------------------------
 
-def build_ensemble(name: str, n: int, seed: int | None, depth: int = 4,
-                   t: float = 1.0) -> dm.Ensemble:
-    d = 2**n
-    if name == "haar":
-        return dm.haar_ensemble(d, seed)
-    if name == "pauli":
-        return dm.pauli_ensemble(n)
-    if name == "pauli-x":
-        return dm.pauli_x_ensemble(n)
-    if name == "clifford":
-        return cg.clifford_ensemble(n, seed)
-    if name == "trivial":
-        return dm.trivial_ensemble(n)
-    if name == "brickwork":
-        return dm.brickwork_ensemble(n, depth, seed)
-    if name == "gue-evolution":
-        return dm.gue_evolution_ensemble(d, t, seed)
-    raise ValueError(f"unknown ensemble {name!r}")
-
-
-ENSEMBLES = ("haar", "pauli", "pauli-x", "clifford", "trivial", "brickwork",
-             "gue-evolution")
+# --ensemble name -> builder(n, seed, depth, t)
+ENSEMBLES = {
+    "haar": lambda n, seed, depth, t: dm.haar_ensemble(2**n, seed),
+    "pauli": lambda n, seed, depth, t: dm.pauli_ensemble(n),
+    "pauli-x": lambda n, seed, depth, t: dm.pauli_x_ensemble(n),
+    "clifford": lambda n, seed, depth, t: cg.clifford_ensemble(n, seed),
+    "trivial": lambda n, seed, depth, t: dm.trivial_ensemble(n),
+    "brickwork": lambda n, seed, depth, t: dm.brickwork_ensemble(n, depth, seed),
+    "gue-evolution": lambda n, seed, depth, t: dm.gue_evolution_ensemble(2**n, t, seed),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -129,13 +117,15 @@ def _attach_check(report: dict, value, reference, sigma, tol_sigma: float) -> bo
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_framepot(args) -> int:
-    ens = build_ensemble(args.ensemble, args.n, args.seed, args.depth, args.t)
+# each cmd_* returns (report, ok): main emits the report, and exits 1 when not ok
+
+def cmd_framepot(args) -> tuple[dict, bool]:
+    ens = ENSEMBLES[args.ensemble](args.n, args.seed, args.depth, args.t)
     d = 2**args.n
     if args.exact:
         est = fp.frame_potential_exact(ens, args.k)
     else:
-        est = fp.frame_potential_mc(ens, args.k, args.samples, seed=args.seed)
+        est = fp.frame_potential_mc(ens, args.k, args.samples)
     if args.k <= d:
         formula = "k!"
     elif d == 2:
@@ -156,8 +146,7 @@ def cmd_framepot(args) -> int:
     ok = True
     if args.check:
         ok = _attach_check(report, est.value, ref, est.std_error, args.tolerance_sigma)
-    emit(report, args.format, args.output)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return report, ok
 
 
 def _default_oto_spec(kind: str, n: int, m: int) -> tuple[OtoSpec, Fraction | None, str]:
@@ -197,11 +186,11 @@ def _default_oto_spec(kind: str, n: int, m: int) -> tuple[OtoSpec, Fraction | No
     raise ValueError(f"unknown oto kind {kind!r}")
 
 
-def cmd_oto(args) -> int:
+def cmd_oto(args) -> tuple[dict, bool]:
     n = args.n
-    ens = build_ensemble(args.ensemble, n, args.seed, args.depth, args.t)
+    ens = ENSEMBLES[args.ensemble](n, args.seed, args.depth, args.t)
     spec, prediction, formula = _default_oto_spec(args.kind, n, args.m)
-    est = otolab.oto_ensemble_average(ens, spec, mc_samples=args.samples, seed=args.seed)
+    est = otolab.oto_ensemble_average(ens, spec, mc_samples=args.samples)
     value = complex(est.value)
     pred = None if prediction is None else float(prediction)
     report = {
@@ -214,11 +203,10 @@ def cmd_oto(args) -> int:
     ok = True
     if args.check and pred is not None:
         ok = _attach_check(report, value.real, pred, est.std_error, args.tolerance_sigma)
-    emit(report, args.format, args.output)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return report, ok
 
 
-def cmd_wg(args) -> int:
+def cmd_wg(args) -> tuple[dict, bool]:
     mu = tuple(int(x) for x in args.cycle_type.split(","))
     val = wg.weingarten(mu, args.d)
     report = {
@@ -226,11 +214,10 @@ def cmd_wg(args) -> int:
         "rational": str(val), "value": float(val),
         "reference_formula": "(1/k!) sum_lam (f_lam / s_lam(d)) chi_lam(mu)",
     }
-    emit(report, args.format, args.output)
-    return EXIT_OK
+    return report, True
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> tuple[dict, bool]:
     rows = []
     rep = fp.bounds_report(args.f, args.k, args.n, choices=args.choices,
                            g=args.g, q=args.q, epsilon=args.epsilon)
@@ -256,8 +243,7 @@ def cmd_bounds(args) -> int:
         "f": args.f, "k": args.k, "n": args.n, "choices": args.choices,
         "g": args.g, "q": args.q, "epsilon": args.epsilon,
         "tr_h2": args.tr_h2, "t": args.time}, "rows": rows}
-    emit(report, args.format, args.output)
-    return EXIT_OK
+    return report, True
 
 
 def _parse_partition(text: str, n: int) -> scrambling.IoPartition:
@@ -275,7 +261,7 @@ def _parse_partition(text: str, n: int) -> scrambling.IoPartition:
     return scrambling.IoPartition(n, parts.get("A", ()), parts.get("D", ()))
 
 
-def cmd_scramble(args) -> int:
+def cmd_scramble(args) -> tuple[dict, bool]:
     if args.unitary == "haar":
         u = dm.haar_unitary(2**args.n, np.random.default_rng(args.seed))
     elif args.unitary == "identity":
@@ -302,11 +288,10 @@ def cmd_scramble(args) -> int:
     }
     ok = abs(lhs - rhs) <= 1e-8
     report["passed"] = bool(ok)
-    emit(report, args.format, args.output)
-    return EXIT_OK if ok or not args.check else EXIT_CHECK_FAILED
+    return report, ok or not args.check
 
 
-def cmd_timeavg(args) -> int:
+def cmd_timeavg(args) -> tuple[dict, bool]:
     spectrum = [float(x) for x in args.spectrum.split(",")]
     est = fp.time_averaged_frame_potential(spectrum, args.k, args.t_max, args.n_grid)
     ref = fp.analytic_time_average(args.k, len(spectrum))
@@ -321,25 +306,23 @@ def cmd_timeavg(args) -> int:
     if args.check:
         ok = abs(est.value - ref) / ref <= args.rtol
         report["passed"] = bool(ok)
-    emit(report, args.format, args.output)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return report, ok
 
 
-def cmd_thermal(args) -> int:
+def cmd_thermal(args) -> tuple[dict, bool]:
     d = 2**args.n
-    seed = args.seed if args.seed is not None else 0
-    ens = dm.Ensemble("gue", d, sampler=lambda rng, size: dm.gue_hamiltonian(d, rng, size))
-    est = fp.thermal_W(ens, args.beta, args.t, args.k, args.samples, seed)
+    ens = dm.Ensemble("gue", d, sampler=lambda rng, size: dm.gue_hamiltonian(d, rng, size),
+                      seed=args.seed)
+    est = fp.thermal_W(ens, args.beta, args.t, args.k, args.samples)
     report = {
         "estimator": "thermal_frame_potential", "k": args.k, "d": d,
-        "beta": args.beta, "t": args.t, "seed": seed,
+        "beta": args.beta, "t": args.t, "seed": args.seed,
         "value": est.value, "std_error": est.std_error,
         "n_samples": est.n_samples,
         "cardinality_bound": 1.0 / est.value if est.value > 0 else None,
         "reference_formula": "avg |tr e^(-(b/2k-it)G) e^(-(b/2k+it)H)|^(2k) / (Z_G Z_H)",
     }
-    emit(report, args.format, args.output)
-    return EXIT_OK
+    return report, True
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +412,7 @@ def _verify_checks(quick: bool):
                5 * est_oto.std_error)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[dict, bool]:
     rows = []
     all_ok = True
     for name, computed, reference, tol in _verify_checks(args.suite == "quick"):
@@ -445,9 +428,6 @@ def cmd_verify(args) -> int:
         rows.append({"estimator": name, "value": _scalarize(computed) if not isinstance(computed, Fraction) else str(computed),
                      "reference": _scalarize(reference) if not isinstance(reference, Fraction) else str(reference),
                      "abs_deviation": dev, "std_error": tol, "passed": bool(ok)})
-    report = {"estimator": "verify", "suite": args.suite, "rows": rows,
-              "passed": bool(all_ok)}
-    emit(report, args.format, args.output)
     # always print a human-readable table to stderr for convenience
     width = max(len(r["estimator"]) for r in rows)
     for r in rows:
@@ -456,37 +436,55 @@ def cmd_verify(args) -> int:
               file=sys.stderr)
     print(f"verify: {sum(r['passed'] for r in rows)}/{len(rows)} identities hold",
           file=sys.stderr)
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
+    return {"estimator": "verify", "suite": args.suite, "rows": rows,
+            "passed": bool(all_ok)}, all_ok
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sp):
-    sp.add_argument("--seed", type=int, default=None)
+def _add_output(sp):
     sp.add_argument("--output", default=None, help="write the report to a file")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
+
+
+def _add_check(sp):
     sp.add_argument("--check", action="store_true",
                     help="exit 1 if the estimate misses its reference")
+
+
+def _add_monte_carlo(sp):
+    """The sample, seed, check and output options that framepot and oto share."""
+    sp.add_argument("--samples", type=int, default=10_000,
+                    help="Monte-Carlo draws (pairs for framepot)")
+    sp.add_argument("--depth", type=int, default=4, help="brickwork depth")
+    sp.add_argument("--t", type=float, default=1.0, help="evolution time")
+    sp.add_argument("--seed", type=int, default=None)
+    _add_check(sp)
     sp.add_argument("--tolerance-sigma", type=float, default=5.0)
+    _add_output(sp)
+
+
+class _Parser(argparse.ArgumentParser):
+    """A bad command line, such as an option its subcommand does not take,
+    is a configuration error like any other: one `error:` line, exit 2."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="designlab",
-                                description="pseudorandomness diagnostics for "
-                                            "ensembles of unitaries")
+    p = _Parser(prog="designlab",
+                description="pseudorandomness diagnostics for ensembles of unitaries")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("framepot", help="frame potential of an ensemble")
     sp.add_argument("--ensemble", choices=ENSEMBLES, required=True)
     sp.add_argument("--n", type=int, required=True, help="qubit count")
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--samples", type=int, default=10_000, help="Monte-Carlo pairs")
     sp.add_argument("--exact", action="store_true")
-    sp.add_argument("--depth", type=int, default=4, help="brickwork depth")
-    sp.add_argument("--t", type=float, default=1.0, help="evolution time")
-    _add_common(sp)
+    _add_monte_carlo(sp)
     sp.set_defaults(func=cmd_framepot)
 
     sp = sub.add_parser("oto", help="ensemble-averaged OTO correlators")
@@ -495,16 +493,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kind", choices=("oto4", "oto6", "commutator8",
                                        "noncommutator8", "oto4m"), default="oto4")
     sp.add_argument("--m", type=int, default=2, help="pair count for oto4m")
-    sp.add_argument("--samples", type=int, default=10_000)
-    sp.add_argument("--depth", type=int, default=4)
-    sp.add_argument("--t", type=float, default=1.0)
-    _add_common(sp)
+    _add_monte_carlo(sp)
     sp.set_defaults(func=cmd_oto)
 
     sp = sub.add_parser("wg", help="exact Weingarten values")
     sp.add_argument("--cycle-type", required=True, help="e.g. 2,1,1")
     sp.add_argument("--d", type=int, required=True)
-    _add_common(sp)
+    _add_output(sp)
     sp.set_defaults(func=cmd_wg)
 
     sp = sub.add_parser("bounds", help="complexity/cardinality/entropy bounds")
@@ -517,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--epsilon", type=float, default=None)
     sp.add_argument("--tr-h2", type=float, default=None, dest="tr_h2")
     sp.add_argument("--time", type=float, default=None)
-    _add_common(sp)
+    _add_output(sp)
     sp.set_defaults(func=cmd_bounds)
 
     sp = sub.add_parser("scramble", help="Renyi-OTO identities and mutual information")
@@ -526,7 +521,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=2)
     sp.add_argument("--partition", default="A=0;D=1")
     sp.add_argument("--k", type=int, default=2)
-    _add_common(sp)
+    sp.add_argument("--seed", type=int, default=0)
+    _add_check(sp)
+    _add_output(sp)
     sp.set_defaults(func=cmd_scramble)
 
     sp = sub.add_parser("timeavg", help="double time average of the frame potential")
@@ -535,7 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t-max", type=float, default=2000.0, dest="t_max")
     sp.add_argument("--n-grid", type=int, default=200_000, dest="n_grid")
     sp.add_argument("--rtol", type=float, default=0.05)
-    _add_common(sp)
+    _add_check(sp)
+    _add_output(sp)
     sp.set_defaults(func=cmd_timeavg)
 
     sp = sub.add_parser("thermal", help="thermal frame potential over GUE draws")
@@ -544,30 +542,31 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", type=float, default=0.0)
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--samples", type=int, default=2000)
-    _add_common(sp)
+    sp.add_argument("--seed", type=int, default=0)
+    _add_output(sp)
     sp.set_defaults(func=cmd_thermal)
 
     sp = sub.add_parser("verify", help="run the exact-oracle identity battery")
     sp.add_argument("--suite", choices=("quick", "full"), default="full")
-    _add_common(sp)
+    _add_output(sp)
     sp.set_defaults(func=cmd_verify)
 
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_CONFIG if exc.code not in (0,) else 0
-    try:
+        args = build_parser().parse_args(argv)
         # every qubit count, whatever the subcommand, before 2**n is taken
         if getattr(args, "n", 1) < 1:
             raise ValueError(f"--n must be at least 1, got {args.n}")
         # numpy overflow raises here rather than warn and carry an infinity on
         with np.errstate(over="raise"):
-            return args.func(args)
+            report, ok = args.func(args)
+            emit(report, args.format, args.output)
+        return EXIT_OK if ok else EXIT_CHECK_FAILED
+    except SystemExit:  # --help, after printing the help text
+        return EXIT_OK
     except (NonFiniteReport, scrambling.IdentityViolated, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         failed = isinstance(exc, (NonFiniteReport, scrambling.IdentityViolated))

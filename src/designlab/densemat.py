@@ -383,6 +383,9 @@ class Ensemble:
     generator. Draws are deterministic given (seed, block index). They are
     unitaries, or Hermitian matrices for an ensemble of Hamiltonians (as
     framepot.thermal_W averages).
+
+    The seed lives here and nowhere else: every Monte-Carlo estimator draws
+    from `seed`, and a sampler ensemble without one is an error.
     """
 
     label: str
@@ -437,7 +440,7 @@ class Ensemble:
                 yield chunk
 
     def average(self, f: Callable, *, pairs: bool = False,
-                mc_samples: int | None = None, seed: int | None = None) -> Estimate:
+                mc_samples: int | None = None) -> Estimate:
         """Ensemble average of f(element), or of f(a, b) over ordered pairs
         when pairs=True.
 
@@ -460,7 +463,7 @@ class Ensemble:
             n = len(self.elements)
             return Estimate(total, 0.0, n * n if pairs else n, method="exact")
         check_mc_samples(mc_samples)
-        seed = self.resolve_seed(seed)
+        seed = self.resolve_seed()
         # closed here, not when the generator is collected: a traceback
         # would keep it, and its threads and pin, alive
         with contextlib.closing(self.stream(seed, 2 * mc_samples if pairs else mc_samples)) \
@@ -468,12 +471,10 @@ class Ensemble:
             vals = [f(c[0::2], c[1::2]) if pairs else f(c) for c in chunks]
         return mc_estimate(np.concatenate(vals), seed)
 
-    def resolve_seed(self, seed: int | None) -> int:
-        if seed is not None:
-            return seed
-        if self.seed is not None:
-            return self.seed
-        raise ValueError(f"ensemble {self.label!r} needs a seed")
+    def resolve_seed(self) -> int:
+        if self.seed is None:
+            raise ValueError(f"ensemble {self.label!r} needs a seed")
+        return self.seed
 
 
 def trivial_ensemble(n: int) -> Ensemble:
@@ -610,29 +611,33 @@ class ChannelApplyResult:
     method: str
 
 
+def _channel_operator(a: np.ndarray, k: int, d: int) -> np.ndarray:
+    """A as a complex d^k x d^k matrix, within DENSE_GUARD."""
+    a = np.asarray(a, dtype=complex)
+    side = d**k
+    if a.shape != (side, side):
+        raise ValueError(f"operator must be {side} x {side}")
+    if side > DENSE_GUARD:
+        raise ValueError("dense guard exceeded")
+    return a
+
+
 def kfold_channel_apply(ens: Ensemble, a: np.ndarray, k: int,
-                        mc_samples: int | None = None,
-                        seed: int | None = None) -> ChannelApplyResult:
+                        mc_samples: int | None = None) -> ChannelApplyResult:
     """Apply the k-fold channel of an ensemble to an operator on d^k.
 
     Discrete ensembles give the exact weighted sum
     sum_j p_j (U_j^(x)k)^dag A U_j^(x)k; samplers give a streamed Monte-Carlo
     mean with an entrywise standard error (ddof=1).
     """
-    a = np.asarray(a, dtype=complex)
-    side = ens.dim**k
-    if a.shape != (side, side):
-        raise ValueError(f"operator must be {side} x {side}")
-    if side > DENSE_GUARD:
-        raise ValueError("dense guard exceeded")
+    a = _channel_operator(a, k, ens.dim)
     if ens.kind == "discrete":
         est = ens.average(lambda el: _kfold_conjugate(element_to_matrix(el), a, k))
         return ChannelApplyResult(est.value, None, est.n_samples, "exact")
     n = check_mc_samples(mc_samples)
-    seed = ens.resolve_seed(seed)
     acc = np.zeros_like(a)
     acc2 = np.zeros(a.shape)
-    with contextlib.closing(ens.stream(seed, n)) as chunks:
+    with contextlib.closing(ens.stream(ens.resolve_seed(), n)) as chunks:
         for el in itertools.chain.from_iterable(chunks):
             term = _kfold_conjugate(element_to_matrix(el), a, k)
             acc += term
@@ -646,12 +651,7 @@ def haar_channel_reference(a: np.ndarray, k: int, d: int) -> np.ndarray:
     """Exact Haar k-fold channel via the Weingarten decomposition:
     sum_{pi,sigma} Wg(pi sigma, d) W_pi tr{W_sigma A}, one `wg.contract` per
     W_pi coefficient (Wg is the pseudo-inverse of Q when k > d)."""
-    a = np.asarray(a, dtype=complex)
-    side = d**k
-    if a.shape != (side, side):
-        raise ValueError(f"operator must be {side} x {side}")
-    if side > DENSE_GUARD:
-        raise ValueError("dense guard exceeded")
+    a = _channel_operator(a, k, d)
     ws = [wg.permutation_matrix(pi, d) for pi in wg.permutations_of(k)]
     traces = [np.trace(w @ a) for w in ws]
     return sum(complex(wg.contract(k, d, unit, traces)) * w

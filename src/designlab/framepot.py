@@ -75,14 +75,13 @@ def frame_potential_exact(ens: Ensemble, k: int) -> Estimate:
     return ens.average(lambda a, b: _pair_trace_power(a, b, k), pairs=True)
 
 
-def frame_potential_mc(ens: Ensemble, k: int, n_pairs: int,
-                       seed: int | None = None) -> Estimate:
+def frame_potential_mc(ens: Ensemble, k: int, n_pairs: int) -> Estimate:
     """Monte-Carlo frame potential: mean of |tr(U^dag V)|^(2k) over
     independent pairs, with the plug-in standard error. A discrete ensemble
     gives its exact double sum, as in frame_potential_exact."""
     _check_k(k)
     return ens.average(lambda a, b: _pair_trace_power(a, b, k), pairs=True,
-                       mc_samples=n_pairs, seed=seed)
+                       mc_samples=n_pairs)
 
 
 def frame_potential_via_oto(ens: Ensemble, k: int) -> Estimate:
@@ -199,7 +198,7 @@ def _state_root(rho: np.ndarray, k: int) -> np.ndarray:
     return (vecs * np.clip(evals, 0.0, None) ** (1.0 / k)) @ vecs.conj().T
 
 
-def _generalized(ens, rho, k, variant, mc_samples, seed) -> Estimate:
+def _generalized(ens, rho, k, variant, mc_samples) -> Estimate:
     root = _state_root(rho, k)
     if ens.kind == "discrete":  # convert each element once, not once per pair
         ens = replace(ens, elements=tuple(map(element_to_matrix, ens.elements)))
@@ -213,23 +212,23 @@ def _generalized(ens, rho, k, variant, mc_samples, seed) -> Estimate:
             z2 = trace(root @ dagger(u) @ v)
         return _per_value(lambda x, y: (x * y) ** k, z1, z2)
 
-    est = ens.average(integrand, pairs=True, mc_samples=mc_samples, seed=seed)
+    est = ens.average(integrand, pairs=True, mc_samples=mc_samples)
     # F is real: its two traces are complex conjugates
     return replace(est, value=est.value.real) if variant == "F" else est
 
 
 def generalized_F(ens: Ensemble, rho: np.ndarray, k: int,
-                  mc_samples: int | None = None, seed: int | None = None) -> Estimate:
+                  mc_samples: int | None = None) -> Estimate:
     """State-weighted frame potential
     avg_{U,V} [tr(rho^(1/k) U V+) tr(rho^(1/k) V U+)]^k."""
-    return _generalized(ens, rho, k, "F", mc_samples, seed)
+    return _generalized(ens, rho, k, "F", mc_samples)
 
 
 def generalized_G(ens: Ensemble, rho: np.ndarray, k: int,
-                  mc_samples: int | None = None, seed: int | None = None) -> Estimate:
+                  mc_samples: int | None = None) -> Estimate:
     """The sibling generalization with the second trace ordered U+ V;
     its Haar value is state-independent."""
-    return _generalized(ens, rho, k, "G", mc_samples, seed)
+    return _generalized(ens, rho, k, "G", mc_samples)
 
 
 def generalized_F_haar_reference(rho_kind: str, k: int, d: int,
@@ -259,8 +258,7 @@ def generalized_F_haar_reference(rho_kind: str, k: int, d: int,
     raise ValueError(f"unknown rho_kind {rho_kind!r}")
 
 
-def thermal_W(ens: Ensemble, beta: float, t: float, k: int, mc_samples: int,
-              seed: int) -> Estimate:
+def thermal_W(ens: Ensemble, beta: float, t: float, k: int, mc_samples: int) -> Estimate:
     """Thermal frame potential for an ensemble of Hamiltonians:
 
         avg over (G, H) of |tr{e^(-(beta/2k - it)G) e^(-(beta/2k + it)H)}|^(2k)
@@ -287,7 +285,7 @@ def thermal_W(ens: Ensemble, beta: float, t: float, k: int, mc_samples: int,
         mh, zh = weighted(h, b + 1j * t)
         return _per_value(lambda x: abs(x) ** (2 * k), trace(mg @ mh)) / (zg * zh)
 
-    return ens.average(pair_values, pairs=True, mc_samples=mc_samples, seed=seed)
+    return ens.average(pair_values, pairs=True, mc_samples=mc_samples)
 
 
 # ---------------------------------------------------------------------------

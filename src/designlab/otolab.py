@@ -173,12 +173,10 @@ def _element_correlator(element, spec: OtoSpec):
 
 
 def oto_ensemble_average(ens: Ensemble, spec: OtoSpec,
-                         mc_samples: int | None = None,
-                         seed: int | None = None) -> Estimate:
+                         mc_samples: int | None = None) -> Estimate:
     """Ensemble-averaged correlator: exact weighted sum for discrete
     ensembles, Monte-Carlo mean with standard error for samplers."""
-    return ens.average(lambda el: _element_correlator(el, spec),
-                       mc_samples=mc_samples, seed=seed)
+    return ens.average(lambda el: _element_correlator(el, spec), mc_samples=mc_samples)
 
 
 def regulated_oto(rho: np.ndarray, u: np.ndarray, spec: OtoSpec) -> complex:
@@ -295,14 +293,14 @@ def m_tensor(n: int, k: int) -> np.ndarray:
 
 
 def measure_alpha(ens: Ensemble, b_ops, k: int,
-                  mc_samples: int | None = None, seed: int | None = None) -> np.ndarray:
+                  mc_samples: int | None = None) -> np.ndarray:
     """The vector of ensemble-averaged correlators over all A-tuples, for
     fixed B's, indexed like m_tensor's a-axis."""
     b_ops = tuple(b_ops)
     n = b_ops[0].n
     vals = []
     for a_ops in _tuple_iter(n, k):
-        est = oto_ensemble_average(ens, OtoSpec(tuple(a_ops), b_ops), mc_samples, seed)
+        est = oto_ensemble_average(ens, OtoSpec(tuple(a_ops), b_ops), mc_samples)
         vals.append(complex(est.value))
     return np.array(vals)
 
@@ -324,8 +322,7 @@ def reconstruct_channel(alpha: np.ndarray, k: int, n: int) -> ChannelCoefficient
 
 
 def channel_coefficients_direct(ens: Ensemble, b_ops, k: int,
-                                mc_samples: int | None = None,
-                                seed: int | None = None) -> ChannelCoefficients:
+                                mc_samples: int | None = None) -> ChannelCoefficients:
     """Brute-force channel coefficients: apply the k-fold channel to
     B_1 (x) ... (x) B_k densely and expand in the k-fold Pauli basis."""
     from .densemat import kfold_channel_apply
@@ -335,7 +332,7 @@ def channel_coefficients_direct(ens: Ensemble, b_ops, k: int,
     big = pauli_to_dense(b_ops[0])
     for b in b_ops[1:]:
         big = np.kron(big, pauli_to_dense(b))
-    res = kfold_channel_apply(ens, big, k, mc_samples=mc_samples, seed=seed)
+    res = kfold_channel_apply(ens, big, k, mc_samples=mc_samples)
     return _expand_in_pauli_basis(res.matrix, n, k)
 
 

@@ -370,8 +370,9 @@ def test_criterion_10_generalized_frame_potentials():
     ok &= dev <= 5 and abs(want - 1 / 3) < 1e-15
     msgs.append(f"Haar pure k=2 d=2: {est.value:.4f} ({dev:.2f} sigma from 1/3)")
     d, k, t = 2, 1, 0.9
-    gue = dm.Ensemble("gue", d, sampler=lambda rng, size: dm.gue_hamiltonian(d, rng, size))
-    west = fp.thermal_W(gue, 0.0, t, k, 4000, seed=111)
+    gue = dm.Ensemble("gue", d, sampler=lambda rng, size: dm.gue_hamiltonian(d, rng, size),
+                      seed=111)
+    west = fp.thermal_W(gue, 0.0, t, k, 4000)
     fest = fp.frame_potential_mc(dm.gue_evolution_ensemble(d, t, seed=112), k, 4000)
     joint = math.hypot(west.std_error, fest.std_error / (d * d))
     dev_w = abs(west.value - fest.value / (d * d)) / joint

@@ -1,8 +1,12 @@
 """CLI tests: reports, determinism, exit codes, the verify battery."""
 
+import argparse
+import ast
 import hashlib
+import inspect
 import json
 import math
+import textwrap
 import time
 
 import pytest
@@ -218,6 +222,13 @@ class TestScrambleCommand:
         err = assert_config_error(capsys, "scramble", "--n", "2", "--k", "7", "--seed", "1")
         assert "Pauli tuple budget" in err
 
+    def test_default_seed_is_reproducible(self, capsys):
+        # without --seed the Haar unitary used to come from OS entropy
+        code, out = run(capsys, "scramble", "--n", "2")
+        assert code == 0 and json.loads(out)["seed"] == 0
+        assert run(capsys, "scramble", "--n", "2") == (code, out)
+        assert run(capsys, "scramble", "--n", "2", "--seed", "0") == (code, out)
+
     def test_haar_unitary_identity_holds(self, capsys):
         code, out = run(capsys, "scramble", "--unitary", "haar", "--n", "2",
                         "--partition", "A=0;D=1", "--k", "2", "--seed", "5",
@@ -380,6 +391,21 @@ class TestEdgeInputs:
         "framepot --ensemble haar --n 1 --k 1 --samples 10000001 --seed 1",
         "oto --ensemble haar --n 1 --samples 10000001 --seed 1",
         "thermal --n 1 --beta 0 --t 1 --k 1 --samples 10000001 --seed 1",
+        # an option the subcommand does not read, which used to be accepted and ignored
+        "wg --cycle-type 2 --d 4 --seed 1",
+        "wg --cycle-type 2 --d 4 --check",
+        "wg --cycle-type 2 --d 4 --tolerance-sigma 0.001",
+        "bounds --f 2 --k 1 --n 2 --seed 1",
+        "bounds --f 2 --k 1 --n 2 --check",
+        "bounds --f 2 --k 1 --n 2 --tolerance-sigma 3",
+        "verify --suite quick --seed 3",
+        "verify --suite quick --check",
+        "verify --suite quick --tolerance-sigma 3",
+        "thermal --n 1 --check",
+        "thermal --n 1 --tolerance-sigma 3",
+        "timeavg --spectrum 1,2 --seed 1",
+        "timeavg --spectrum 1,2 --tolerance-sigma 3",
+        "scramble --n 2 --tolerance-sigma 3",
     ])
     def test_is_a_config_error(self, capsys, argv):
         assert_config_error(capsys, *argv.split())
@@ -416,6 +442,27 @@ class TestEdgeInputs:
         path.write_text(json.dumps(content))
         assert_config_error(capsys, "scramble", "--unitary", str(path), "--n", "1",
                             "--partition", "A=0;D=0")
+
+
+def _reads_of_args(fn) -> set[str]:
+    """The attributes that fn's source reads off `args`."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "args"}
+
+
+SUBPARSERS = next(action for action in cli.build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("command", sorted(SUBPARSERS))
+def test_every_option_is_read(command):
+    # an option that neither the subcommand's cmd_* nor main reads would be
+    # accepted and then ignored
+    sp = SUBPARSERS[command]
+    declared = {action.dest for action in sp._actions} - {"help"}
+    read = _reads_of_args(sp.get_default("func")) | _reads_of_args(cli.main)
+    assert sorted(declared - read) == []
 
 
 class TestVerifyCommand:

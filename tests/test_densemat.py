@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -419,7 +420,7 @@ class TestStreamedAverage:
                                             CHUNK - 1, CHUNK, CHUNK + 1])
     def test_pairs_match_the_per_draw_oracle(self, mc_samples):
         k = 2
-        est = fp.frame_potential_mc(dm.haar_ensemble(4), k, mc_samples, seed=22)
+        est = fp.frame_potential_mc(dm.haar_ensemble(4, seed=22), k, mc_samples)
         rng = np.random.default_rng([22, 0])
         draws = [dm.haar_unitary(4, rng) for _ in range(2 * mc_samples)]
         vals = [(abs(np.trace(draws[2 * i].conj().T @ draws[2 * i + 1])) ** 2) ** k
@@ -434,8 +435,8 @@ class TestStreamedAverage:
             sizes.append(size)
             return dm.haar_unitary(2, rng, size)
 
-        ens = dm.Ensemble("recorded", 2, sampler=sampler)
-        ens.average(lambda u: dm.trace(u).real, mc_samples=2 * self.CHUNK + 3, seed=1)
+        ens = dm.Ensemble("recorded", 2, sampler=sampler, seed=1)
+        ens.average(lambda u: dm.trace(u).real, mc_samples=2 * self.CHUNK + 3)
         assert sizes == [self.CHUNK, self.CHUNK, 3]
 
     def test_chunk_size(self):
@@ -467,10 +468,11 @@ class TestStreamedAverage:
         n = ens.dim.bit_length() - 1
         x, z = paulialg.single_site(n, 0, "X"), paulialg.single_site(n, n - 1, "Z")
 
+        ens = replace(ens, seed=8)
+
         def estimates():
-            return (fp.frame_potential_mc(ens, 2, 45, seed=8),
-                    otolab.oto_ensemble_average(ens, OtoSpec((x, x), (z, z)),
-                                                mc_samples=45, seed=8))
+            return (fp.frame_potential_mc(ens, 2, 45),
+                    otolab.oto_ensemble_average(ens, OtoSpec((x, x), (z, z)), mc_samples=45))
 
         want = estimates()
         monkeypatch.setattr(dm, "CHUNK_BYTES", 16 * ens.dim**2 * 4)  # 4 draws per chunk
@@ -513,8 +515,8 @@ class TestOpenblasPin:
             seen.append(blas_threads())
             return dm.trace(a).real
 
-        dm.brickwork_ensemble(6, 2).average(reads_the_count, pairs=True, mc_samples=100,
-                                            seed=1)
+        dm.brickwork_ensemble(6, 2, seed=1).average(reads_the_count, pairs=True,
+                                                    mc_samples=100)
         assert seen == [1] * 4 and blas_threads() == 2
         dm.brickwork_ensemble(6, 2).sampler(np.random.default_rng(1), 8)
         assert blas_threads() == 2
@@ -530,8 +532,8 @@ class TestOpenblasPin:
 
         # the held traceback keeps the stream alive: only closing it unpins
         with pytest.raises(RuntimeError, match="integrand failed") as failure:
-            dm.brickwork_ensemble(6, 2).average(fails_on_chunk_two, pairs=True,
-                                                mc_samples=100, seed=1)
+            dm.brickwork_ensemble(6, 2, seed=1).average(fails_on_chunk_two, pairs=True,
+                                                        mc_samples=100)
         assert seen == [1, 1] and blas_threads() == 2 and failure.type is RuntimeError
 
     def test_haar_stream_is_never_pinned(self, blas_threads):
@@ -541,25 +543,36 @@ class TestOpenblasPin:
             seen.append(blas_threads())
             return dm.trace(a).real
 
-        dm.haar_ensemble(64).average(reads_the_count, pairs=True, mc_samples=100, seed=1)
+        dm.haar_ensemble(64, seed=1).average(reads_the_count, pairs=True, mc_samples=100)
         assert seen == [2] * 4 and blas_threads() == 2
 
 
 class TestMonteCarloGuard:
     # one draw has no spread: kfold_channel_apply used to report a std error of 0;
-    # past MAX_MC_SAMPLES an average used to run until memory was gone
+    # past MAX_MC_SAMPLES an average used to run until memory was gone; a
+    # sampler ensemble's own seed is the only one an estimator draws from
     ESTIMATORS = {
+        "average": lambda ens, m: ens.average(lambda u: dm.trace(u).real, mc_samples=m),
         "oto_ensemble_average": lambda ens, m: otolab.oto_ensemble_average(
             ens, OtoSpec((Z, Z), (Z, Z)), mc_samples=m),
+        "measure_alpha": lambda ens, m: otolab.measure_alpha(ens, (Z,), 1, mc_samples=m),
+        "channel_coefficients_direct": lambda ens, m: otolab.channel_coefficients_direct(
+            ens, (Z,), 1, mc_samples=m),
         "frame_potential_mc": lambda ens, m: fp.frame_potential_mc(ens, 1, m),
         "generalized_F": lambda ens, m: fp.generalized_F(ens, np.eye(2) / 2, 1, mc_samples=m),
         "generalized_G": lambda ens, m: fp.generalized_G(ens, np.eye(2) / 2, 1, mc_samples=m),
         "kfold_channel_apply": lambda ens, m: dm.kfold_channel_apply(
             ens, np.diag([1, -1]), 1, mc_samples=m),
         "thermal_W": lambda ens, m: fp.thermal_W(
-            dm.Ensemble("gue", 2, sampler=lambda rng, size: dm.gue_hamiltonian(2, rng, size)),
-            0.0, 0.0, 1, m, seed=1),
+            dm.Ensemble("gue", 2, sampler=lambda rng, size: dm.gue_hamiltonian(2, rng, size),
+                        seed=ens.seed),
+            0.0, 0.0, 1, m),
     }
+
+    @pytest.mark.parametrize("name", list(ESTIMATORS))
+    def test_a_sampler_without_a_seed_is_rejected(self, name):
+        with pytest.raises(ValueError, match="ensemble '.+' needs a seed"):
+            self.ESTIMATORS[name](dm.haar_ensemble(2), 10)
 
     @pytest.mark.parametrize("name", list(ESTIMATORS))
     def test_one_sample_is_rejected(self, name):

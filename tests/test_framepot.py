@@ -126,9 +126,9 @@ class TestFramePotentialMC:
         assert fp.frame_potential_mc(ens, 2, 1) == fp.frame_potential_exact(ens, 2)
 
     def test_reproducible(self):
-        ens = dm.haar_ensemble(2, seed=None)
-        a = fp.frame_potential_mc(ens, 1, 500, seed=9)
-        b = fp.frame_potential_mc(ens, 1, 500, seed=9)
+        ens = dm.haar_ensemble(2, seed=9)
+        a = fp.frame_potential_mc(ens, 1, 500)
+        b = fp.frame_potential_mc(ens, 1, 500)
         assert a.value == b.value and a.std_error == b.std_error
 
 
@@ -270,7 +270,7 @@ class TestTimeAverages:
         assert threading.active_count() == before
         assert len(pools) == 2 and est.value > 0
         if dm._openblas_threads() is not None:  # pinned maps run inline without one
-            est = fp.frame_potential_mc(dm.brickwork_ensemble(6, 2), 1, 40, seed=3)
+            est = fp.frame_potential_mc(dm.brickwork_ensemble(6, 2, seed=3), 1, 40)
             assert threading.active_count() == before
             assert len(pools) == 3 and est.value > 0
         assert [pool._max_workers for pool in pools] == [3] * len(pools)
@@ -359,10 +359,10 @@ def thermal_W_per_sample(d, beta, t, k, mc_samples, seed):
     return dm.mc_estimate(vals, seed)
 
 
-def gue_ensemble(d, sampler=None):
+def gue_ensemble(d, seed, sampler=None):
     """The Hamiltonian ensemble thermal_W averages: GUE draws at dimension d."""
     sampler = sampler or (lambda rng, size: dm.gue_hamiltonian(d, rng, size))
-    return dm.Ensemble("gue", d, sampler=sampler)
+    return dm.Ensemble("gue", d, sampler=sampler, seed=seed)
 
 
 class TestThermalW:
@@ -371,7 +371,7 @@ class TestThermalW:
     def test_stack_matches_the_per_sample_loop(self, beta, k):
         # 33 pairs: 66 draws, so one pair lies past the first chunk
         d, t = 4, 0.9
-        est = fp.thermal_W(gue_ensemble(d), beta, t, k, 33, seed=75)
+        est = fp.thermal_W(gue_ensemble(d, 75), beta, t, k, 33)
         want = thermal_W_per_sample(d, beta, t, k, 33, 75)
         assert (est.value, est.std_error, est.n_samples) == (want.value, want.std_error, 33)
 
@@ -383,17 +383,17 @@ class TestThermalW:
             sizes.append(size)
             return dm.gue_hamiltonian(d, rng, size)
 
-        ens = gue_ensemble(d, sampler)
-        want = fp.thermal_W(ens, 2.0, 0.9, 2, 33, seed=75)
+        ens = gue_ensemble(d, 75, sampler)
+        want = fp.thermal_W(ens, 2.0, 0.9, 2, 33)
         assert sizes == [64, 2]
         sizes.clear()
         monkeypatch.setattr(dm, "CHUNK_BYTES", 7 * 16 * d * d)  # 6 draws per chunk
-        assert fp.thermal_W(ens, 2.0, 0.9, 2, 33, seed=75) == want
+        assert fp.thermal_W(ens, 2.0, 0.9, 2, 33) == want
         assert sizes == [6] * 11
 
     def test_beta_zero_matches_plain_over_d2(self):
         d, k, t = 2, 1, 0.7
-        west = fp.thermal_W(gue_ensemble(d), 0.0, t, k, 4000, seed=71)
+        west = fp.thermal_W(gue_ensemble(d, 71), 0.0, t, k, 4000)
         ens = dm.gue_evolution_ensemble(d, t, seed=72)
         fest = fp.frame_potential_mc(ens, k, 4000)
         joint = math.hypot(west.std_error, fest.std_error / (d * d))
@@ -416,7 +416,7 @@ class TestThermalW:
             assert num / den <= 1.0 + 1e-12
 
     def test_nontrivial_bound_at_large_beta(self):
-        est = fp.thermal_W(gue_ensemble(4), 6.0, 0.0, 1, 2000, seed=74)
+        est = fp.thermal_W(gue_ensemble(4, 74), 6.0, 0.0, 1, 2000)
         assert est.value < 1.0
         # |E(0)| >= 1/W gives a bound strictly above the trivial 1
         assert 1.0 / est.value > 1.0
@@ -425,7 +425,7 @@ class TestThermalW:
         # As beta -> infinity each thermal operator projects on its ground
         # state, so W -> E|<g|h>|^4 over independent Haar ground states,
         # 2/(d(d+1)) = 1/3 at d=2. Unshifted exponentials overflow here.
-        est = fp.thermal_W(gue_ensemble(2), 1000.0, 0.0, 1, 200, seed=3)
+        est = fp.thermal_W(gue_ensemble(2, 3), 1000.0, 0.0, 1, 200)
         assert math.isfinite(est.value) and math.isfinite(est.std_error)
         assert abs(est.value - 1 / 3) <= 5 * est.std_error
 
@@ -433,7 +433,7 @@ class TestThermalW:
     def test_needs_two_samples(self, samples):
         # one sample has no standard error: std(ddof=1) would be NaN
         with pytest.raises(ValueError, match="mc_samples >= 2"):
-            fp.thermal_W(gue_ensemble(2), 0.0, 0.0, 1, samples, seed=3)
+            fp.thermal_W(gue_ensemble(2, 3), 0.0, 0.0, 1, samples)
 
 
 class TestBounds:

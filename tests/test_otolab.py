@@ -81,7 +81,7 @@ class TestStackedCorrelator:
     @pytest.mark.parametrize("mc_samples", [dm.MC_CHUNK - 1, dm.MC_CHUNK, dm.MC_CHUNK + 1])
     def test_average_matches_the_per_draw_oracle(self, mc_samples):
         spec = OtoSpec(self.A_OPS, self.B_OPS, "commutator")
-        est = oto_ensemble_average(dm.haar_ensemble(4), spec, mc_samples, seed=21)
+        est = oto_ensemble_average(dm.haar_ensemble(4, seed=21), spec, mc_samples)
         rng = np.random.default_rng([21, 0])
         vals = [per_draw_correlator(dm.haar_unitary(4, rng), spec) for _ in range(mc_samples)]
         want = dm.mc_estimate(np.array(vals), 21)
