@@ -21,7 +21,9 @@ chunk and its integrand's temporaries at a time, whatever the sample count.
 A chunk is MC_CHUNK draws, or fewer from d = 512 on, so that its d^2
 complex numbers per draw stay within CHUNK_BYTES (64 MiB); the budget
 counts Clifford tableaux as d x d draws too. A brickwork chunk also holds
-the temporaries of the circuits being assembled: up to MC_CHUNK // 4 = 16
+its gates (at most 4096 per circuit, so that MC_CHUNK circuits' gates fit
+in CHUNK_BYTES) and the temporaries of the circuits being assembled, each
+layer only as wide as the qubits its gates cover: up to MC_CHUNK // 4 = 16
 circuits, or ASSEMBLY_BYTES of them (4 at d = 64) per worker thread.
 
 Threads: `_Threads` is the one place that spreads work over the CPUs. It
@@ -522,6 +524,26 @@ def hamiltonian_evolution_ensemble(h: np.ndarray, t_max: float, seed: int | None
     return Ensemble("hamiltonian-evolution", h.shape[0], sampler=draw, seed=seed)
 
 
+def _beside_identity(a: np.ndarray, r: int) -> np.ndarray:
+    """a (x) I_r for each matrix of an (m, s, s) stack, written by index into
+    zeros; a itself when r = 1."""
+    if r == 1:
+        return a
+    m, s = a.shape[:2]
+    out = np.zeros((m, s, r, s, r), dtype=complex)
+    diag = np.arange(r)
+    out[:, :, diag, :, diag] = a  # out[:, i, l, j, l] = a[:, i, j]
+    return out.reshape(m, s * r, s * r)
+
+
+def _apply_on(a: np.ndarray, u: np.ndarray, q0: int) -> np.ndarray:
+    """(I_(2^q0) (x) a (x) I) u for each pair of an (m, s, s) stack a and an
+    (m, D, D) stack u: a times u's (2^q0, s, rest) row blocks, a product
+    with inner dimension s."""
+    m, s = a.shape[:2]
+    return np.matmul(a[:, None], u.reshape(m, 2**q0, s, -1)).reshape(u.shape)
+
+
 def brickwork_ensemble(n: int, depth: int, seed: int | None = None) -> Ensemble:
     """Brickwork random circuit on n qubits: alternating even/odd
     nearest-neighbour pairings (open boundary), each layer made of fresh
@@ -529,17 +551,24 @@ def brickwork_ensemble(n: int, depth: int, seed: int | None = None) -> Ensemble:
     choice; nothing here depends on it beyond nearest-neighbour locality.
 
     A draw of `size` circuits takes all their gates from one `haar_unitary`
-    stack, circuit-major in layer order. Circuits are assembled in
-    sub-stacks of at most MC_CHUNK // 4 circuits and ASSEMBLY_BYTES: each
-    gate is written into a zeroed stack as I (x) g (x) I by index, and whole
-    stacks are multiplied, each gate onto its layer and each layer onto the
-    circuit, skipping the products by the identity. Once ASSEMBLY_BYTES sets
-    the sub-stack size (d >= 64), the sub-stacks run on the worker threads
-    with OpenBLAS pinned to one thread (`_Threads`); below that a zgemm is
-    too short to gain from the pool, and they run inline. Every product is
-    still one zgemm per matrix, the one a circuit-at-a-time loop of `kron`
-    embeddings would make, so the draws are the same bit for bit on any
-    number of threads.
+    stack, circuit-major in layer order; one chunk's stack must fit in
+    CHUNK_BYTES, which caps a circuit at 4096 gates. Circuits are assembled
+    in sub-stacks of at most MC_CHUNK // 4 circuits and ASSEMBLY_BYTES. A
+    layer whose gates cover the w qubits from qubit q0 on is a 2^w-sided
+    matrix G: its first gate written into zeros as g (x) I, then each later
+    gate applied to G with inner dimension 4 (`_apply_on`). G is applied to
+    the circuit with inner dimension 2^w; only the first layer is written
+    into zeros instead, as G (x) I. Once ASSEMBLY_BYTES sets the sub-stack
+    size (d >= 64), the sub-stacks run on the worker threads with OpenBLAS
+    pinned to one thread (`_Threads`); below that a zgemm is too short to
+    gain from the pool, and they run inline.
+
+    Each product sums the nonzero terms of the 2^n-sided zgemm that a
+    circuit-at-a-time loop of `kron` embeddings would make, in the same
+    order: OpenBLAS sums each entry in ascending inner index, and the zeros
+    of I (x) G (x) I add exact zeros. So the draws are that loop's bit for
+    bit on any number of threads
+    (`tests/test_densemat.py::TestBlockProduct` checks the identity).
     """
     if n < 2:
         raise ValueError("brickwork needs at least 2 qubits")
@@ -548,16 +577,14 @@ def brickwork_ensemble(n: int, depth: int, seed: int | None = None) -> Ensemble:
     d = 2**n
     if d > DENSE_GUARD:
         raise ValueError(f"dense guard exceeded: d={d} > {DENSE_GUARD}")
-    layers = [range(layer % 2, n - 1, 2) for layer in range(depth)]
-    n_gates = sum(map(len, layers))
-    # I_(2^a) (x) g (x) I_r, r = 2^(n-a-2), holds g[i, j] at row (l, i, s)
-    # and column (l, j, s): (2^a, 4, 4, r) index grids, one pair per a
-    embed = []
-    for a in range(n - 1):
-        r = 2 ** (n - a - 2)
-        base = np.arange(2**a)[:, None, None, None] * 4 * r + np.arange(r)
-        embed.append((base + np.arange(0, 4 * r, r)[:, None, None],
-                      base + np.arange(0, 4 * r, r)[:, None]))
+    # even layers hold n // 2 gates, odd layers (n - 1) // 2
+    n_gates = (depth + 1) // 2 * (n // 2) + depth // 2 * ((n - 1) // 2)
+    max_gates = CHUNK_BYTES // (MC_CHUNK * 16 * 4 * 4)
+    if n_gates > max_gates:
+        raise ValueError(f"brickwork of depth {depth} on {n} qubits has {n_gates} gates; "
+                         f"a chunk holds at most {max_gates}")
+    # (q0, w) of the even and the odd layers; w = 0 for an empty layer (n = 2)
+    spans = [(q0, 2 * len(range(q0, n - 1, 2))) for q0 in (0, 1)]
 
     per_task = max(1, min(MC_CHUNK // 4, ASSEMBLY_BYTES // (16 * d * d)))
 
@@ -569,15 +596,14 @@ def brickwork_ensemble(n: int, depth: int, seed: int | None = None) -> Ensemble:
             sub = stack[lo:lo + per_task]
             gates = iter(np.moveaxis(sub, 1, 0))
             u = None
-            for layer in layers:
-                layer_u = None
-                for a in layer:
-                    full = np.zeros((len(sub), d, d), dtype=complex)
-                    rows, cols = embed[a]
-                    full[:, rows, cols] = next(gates)[:, None, :, :, None]
-                    layer_u = full if layer_u is None else full @ layer_u
-                if layer_u is not None:
-                    u = layer_u if u is None else layer_u @ u
+            for layer in range(depth):
+                q0, w = spans[layer % 2]
+                if not w:
+                    continue
+                g = _beside_identity(next(gates), 2 ** (w - 2))
+                for b in range(2, w, 2):
+                    g = _apply_on(next(gates), g, b)
+                u = _beside_identity(g, 2 ** (n - w)) if u is None else _apply_on(g, u, q0)
             out[lo:lo + len(sub)] = u
 
         starts = range(0, size, per_task)

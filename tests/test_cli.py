@@ -391,6 +391,12 @@ class TestEdgeInputs:
         "framepot --ensemble haar --n 1 --k 1 --samples 10000001 --seed 1",
         "oto --ensemble haar --n 1 --samples 10000001 --seed 1",
         "thermal --n 1 --beta 0 --t 1 --k 1 --samples 10000001 --seed 1",
+        # past 4096 brickwork gates, which used to hold every layer and a
+        # chunk's gate stack however deep, and run out of memory
+        "framepot --ensemble brickwork --n 2 --depth 100000000 --k 1 --samples 2 --seed 1",
+        "framepot --ensemble brickwork --n 3 --depth 20000 --k 1 --samples 2 --seed 1",
+        "oto --ensemble brickwork --n 2 --depth 100000000 --samples 2 --seed 1",
+        "oto --ensemble brickwork --n 3 --depth 4097 --samples 2 --seed 1",
         # an option the subcommand does not read, which used to be accepted and ignored
         "wg --cycle-type 2 --d 4 --seed 1",
         "wg --cycle-type 2 --d 4 --check",

@@ -178,14 +178,20 @@ class TestStackedDraws:
                 for _ in range(9)]
         assert np.array_equal(dm.hamiltonian_evolution_ensemble(h, 3.0).sample_block(5, 9), want)
 
-    # the brickwork sampler draws a chunk's gates in one stack, embeds them by
-    # index and multiplies sub-stacks of at most 16 circuits and ASSEMBLY_BYTES
-    # (16 inline at n = 5; 4 at n = 6 and 1 at n = 7 on the pool) with 1, 2
-    # or 3 workers: it must be the circuit-at-a-time oracle bit for bit,
-    # across the sub-stack boundary
-    @pytest.mark.parametrize("n,depth", [(2, 1), (2, 3), (3, 1), (3, 4), (5, 5), (6, 6),
-                                         (7, 3)])
-    @pytest.mark.parametrize("size", [1, 3, 4, 5, 16, 17, 64])
+    # the brickwork sampler draws a chunk's gates in one stack and assembles
+    # sub-stacks of at most 16 circuits and ASSEMBLY_BYTES (16 inline at
+    # n = 5; 4 at n = 6, 1 at n = 7 and n = 8 on the pool) with 1, 2 or 3
+    # workers. Each layer is a 2^w-sided matrix built gate by gate with
+    # inner dimension 4, and it multiplies the circuit's rows with inner
+    # dimension 2^w; only the first layer is written into zeros. It must be
+    # the circuit-at-a-time oracle bit for bit, across the sub-stack
+    # boundary; at n = 4, 5 and 8 a layer covers neither qubit 0 nor qubit
+    # n - 1, or the even layer leaves qubit n - 1 idle
+    @pytest.mark.parametrize("size,n,depth", [
+        *((size, n, depth) for n, depth in [(2, 1), (2, 3), (3, 1), (3, 4), (4, 2), (5, 2),
+                                            (5, 5), (6, 6), (7, 3)]
+          for size in [1, 3, 4, 5, 16, 17, 64]),
+        (1, 8, 2), (2, 8, 2)])
     def test_brickwork_is_the_circuit_at_a_time_oracle(self, monkeypatch, n, depth, size):
         single_rng = np.random.default_rng([n, depth])
         singles = np.stack([brickwork_circuit(n, depth, single_rng) for _ in range(size)])
@@ -195,6 +201,39 @@ class TestStackedDraws:
             stack = dm.brickwork_ensemble(n, depth).sampler(stacked_rng, size)
             assert stack.tobytes() == singles.tobytes()
             assert stacked_rng.bit_generator.state == single_rng.bit_generator.state
+
+
+class TestBlockProduct:
+    # the brickwork sampler multiplies I (x) G (x) I, G on the qubits
+    # q0 .. q0 + w - 1 of n, onto a stack as G times the stack's (2^q0, 2^w,
+    # rest) row blocks: inner dimension 2^w, not 2^n. Its draws are the
+    # kron loop's bit for bit only if the two products agree byte for byte:
+    # each entry must be one FMA chain in ascending inner index, to which
+    # the zeros of the embedding add exact zeros. It runs every span (q0, w)
+    # at n <= 7, which includes every span of a layer and of a gate within a
+    # layer's matrix
+    @pytest.mark.parametrize("threads", ["default", "pinned"])
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_equals_the_embedded_product(self, n, threads):
+        pin = dm._openblas_threads() if threads == "pinned" else None
+        if threads == "pinned" and pin is None:
+            pytest.skip("numpy's BLAS exports no thread-count setter")
+        rng = np.random.default_rng(n)
+        d, m = 2**n, 3
+        u = rng.normal(size=(m, d, d)) + 1j * rng.normal(size=(m, d, d))
+        spans = [(q0, w) for w in range(2, n + 1) for q0 in range(n - w + 1)]
+        saved = pin[0]() if pin else None
+        if pin:
+            pin[1](1)
+        try:
+            for q0, w in spans:
+                g = rng.normal(size=(m, 2**w, 2**w)) + 1j * rng.normal(size=(m, 2**w, 2**w))
+                full = np.stack([np.kron(np.kron(np.eye(2**q0), g[i]), np.eye(2 ** (n - q0 - w)))
+                                 @ u[i] for i in range(m)])
+                assert dm._apply_on(g, u, q0).tobytes() == full.tobytes(), (q0, w)
+        finally:
+            if pin:
+                pin[1](saved)
 
 
 class TestGue:
@@ -662,6 +701,16 @@ class TestEnsembles:
         # element m carries X on qubit j iff bit j of m is set
         labels = [p.label() for p in dm.pauli_x_ensemble(2).elements]
         assert labels == ["II", "XI", "IX", "XX"]
+
+    def test_brickwork_gates_fit_a_chunk(self):
+        # one chunk's gate stack, MC_CHUNK circuits of 4 x 4 complex gates,
+        # must fit in CHUNK_BYTES: 4096 gates, 8192 layers at n = 2
+        assert dm.CHUNK_BYTES // (dm.MC_CHUNK * 256) == 4096
+        dm.brickwork_ensemble(2, 8192)
+        with pytest.raises(ValueError, match="4097 gates; a chunk holds at most 4096"):
+            dm.brickwork_ensemble(2, 8193)
+        with pytest.raises(ValueError, match="at most 4096"):
+            dm.brickwork_ensemble(3, 10**8)
 
     def test_brickwork_needs_a_layer(self):
         with pytest.raises(ValueError, match="depth >= 1"):
