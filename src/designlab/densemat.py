@@ -16,14 +16,18 @@ and leaves the generator in the same state. An ensemble sampler is
 `sampler(rng, size) -> size draws`: a (size, d, d) stack for dense
 ensembles, a list for Clifford tableaux. `Ensemble.average` streams one
 generator in chunks of `chunk_size(d)` draws and evaluates its integrand on
-each chunk, keeping only the values, so a Monte-Carlo average holds one
-chunk and its integrand's temporaries at a time, whatever the sample count.
-A chunk is MC_CHUNK draws, or fewer from d = 512 on, so that its d^2
-complex numbers per draw stay within CHUNK_BYTES (64 MiB); the budget
-counts Clifford tableaux as d x d draws too. A brickwork chunk also holds
-its gates (at most 4096 per circuit, so that MC_CHUNK circuits' gates fit
-in CHUNK_BYTES) and the temporaries of the circuits being assembled, each
-layer only as wide as the qubits its gates cover: up to MC_CHUNK // 4 = 16
+each chunk, keeping only the values. Each chunk, views included, is dropped
+before the next is drawn, so a Monte-Carlo average holds one chunk and its
+sampler's or integrand's temporaries at a time, whatever the sample count:
+about 5 chunks at the peak of a Haar or GUE draw. The estimators' dense
+integrands run `blockwise`, ASSEMBLY_BYTES of draws at a time, so theirs
+are small. A chunk is MC_CHUNK draws, or fewer from d = 128 on (16, then 4
+at d = 256 and 2 from d = 512), so that its d^2 complex numbers per draw
+stay within CHUNK_BYTES (4 MiB). Clifford tableaux hold 2n ints a draw, so
+their chunks are MC_CHUNK draws from the second on. A brickwork chunk also
+holds its gates (256 B a gate, at most MAX_BRICKWORK_GATES = 4096 per
+circuit) and the temporaries of the circuits being assembled, each layer
+only as wide as the qubits its gates cover: up to MC_CHUNK // 4 = 16
 circuits, or ASSEMBLY_BYTES of them (4 at d = 64) per worker thread.
 
 Threads: `_Threads` is the one place that spreads work over the CPUs. It
@@ -39,7 +43,6 @@ import contextlib
 import contextvars
 import ctypes
 import functools
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -55,17 +58,34 @@ DENSE_GUARD = 4096  # largest matrix side constructed anywhere
 UNITARY_TOL = 1e-10
 MC_CHUNK = 64  # draws per chunk of a streamed average; even, so chunks hold whole pairs
 MAX_MC_SAMPLES = 10**7  # an average holds every value, about 27 B a pair: 270 MB at the cap
-CHUNK_BYTES = 2**26  # d x d complex draws one chunk may hold: all MC_CHUNK up to d = 256
-# d x d complex circuits one pooled brickwork sub-stack may hold: 4 at d = 64
-# balanced time against memory
+# d x d complex draws one chunk may hold: all MC_CHUNK up to d = 64, then 16
+# at d = 128, 4 at d = 256 and 2 from d = 512 on
+CHUNK_BYTES = 2**22
+# d x d complex matrices one sub-stack may hold, 4 at d = 64: a pooled
+# brickwork sub-stack (balanced time against memory), a `blockwise` block
 ASSEMBLY_BYTES = 2**18
+MAX_BRICKWORK_GATES = 4096  # gates of one brickwork circuit: 8192 layers at n = 2
 
 
 def chunk_size(d: int) -> int:
     """Draws per chunk of a stream of d x d draws: MC_CHUNK, or fewer once
-    they would pass CHUNK_BYTES as complex matrices (from d = 512 on); even
+    they would pass CHUNK_BYTES as complex matrices (from d = 128 on); even
     and at least 2, so chunks hold whole pairs."""
     return max(2, min(MC_CHUNK, CHUNK_BYTES // (16 * d * d)) // 2 * 2)
+
+
+def blockwise(fn: Callable, *stacks: np.ndarray):
+    """fn(*stacks) for equally long (m, d, d) stacks, evaluated on blocks of
+    ASSEMBLY_BYTES of draws and concatenated; fn(*matrices) for single
+    matrices. For an fn with one value per draw (or pair), that is the same
+    values with block-sized temporaries. Chunk-sized ones, freed beside the
+    chunk that an average frees next, made glibc's malloc hand their pages
+    back to the system and fault them in again on every chunk."""
+    if stacks[0].ndim == 2:
+        return fn(*stacks)
+    rows = max(1, ASSEMBLY_BYTES // (16 * stacks[0].shape[-1] ** 2))
+    return np.concatenate([fn(*(s[lo:lo + rows] for s in stacks))
+                           for lo in range(0, len(stacks[0]), rows)])
 
 
 def dagger(u: np.ndarray) -> np.ndarray:
@@ -422,8 +442,14 @@ class Ensemble:
         return self.sampler(np.random.default_rng([seed, block]), count)
 
     def stream(self, seed: int, count: int):
-        """The draws of block (seed, 0) in chunks of chunk_size(dim): the
-        same draws as sample_block(seed, count), never all held at once.
+        """The draws of block (seed, 0) in chunks: the same draws as
+        sample_block(seed, count), never all held at once.
+
+        A chunk is chunk_size(dim) draws. A sampler whose first chunk comes
+        back as a list (Clifford tableaux, 2n ints a draw) gets MC_CHUNK
+        draws a chunk from then on, as the byte budget counts d x d draws.
+        The stream drops its chunk before it draws the next one, so a caller
+        that does the same holds one chunk at a time.
 
         The stream's samplers share one _Threads, closed when the stream
         ends or is closed: a pin set by the first pooled chunk holds for the
@@ -431,15 +457,19 @@ class Ensemble:
         BLAS thread, rather than against the pool).
         """
         rng = np.random.default_rng([seed, 0])
-        size = chunk_size(self.dim)
+        size, lo = chunk_size(self.dim), 0
         with _threads() as threads:
-            for lo in range(0, count, size):
+            while lo < count:
                 token = _STREAM_THREADS.set(threads)
                 try:
                     chunk = self.sampler(rng, min(size, count - lo))
                 finally:
                     _STREAM_THREADS.reset(token)
+                lo += size
+                if isinstance(chunk, list):
+                    size = MC_CHUNK
                 yield chunk
+                del chunk
 
     def average(self, f: Callable, *, pairs: bool = False,
                 mc_samples: int | None = None) -> Estimate:
@@ -451,7 +481,10 @@ class Ensemble:
         return arrays. Samplers give `mc_estimate` of mc_samples values: f is
         called on each chunk of the stream (a stack or a list of draws, or
         the chunk's even and odd draws for pairs, so pair i is draws 2i and
-        2i+1) and returns one value per draw (pair).
+        2i+1) and returns one value per draw (pair). A chunk and its views
+        are dropped before the next one is drawn, so the average holds one
+        chunk and the sampler's or f's temporaries (about 5 chunks while a
+        Haar chunk is drawn), plus the values.
         """
         if self.kind == "discrete":
             if pairs:
@@ -470,7 +503,10 @@ class Ensemble:
         # would keep it, and its threads and pin, alive
         with contextlib.closing(self.stream(seed, 2 * mc_samples if pairs else mc_samples)) \
                 as chunks:
-            vals = [f(c[0::2], c[1::2]) if pairs else f(c) for c in chunks]
+            vals = []
+            for chunk in chunks:
+                vals.append(f(chunk[0::2], chunk[1::2]) if pairs else f(chunk))
+                del chunk  # else it lives through the next draw
         return mc_estimate(np.concatenate(vals), seed)
 
     def resolve_seed(self) -> int:
@@ -551,8 +587,8 @@ def brickwork_ensemble(n: int, depth: int, seed: int | None = None) -> Ensemble:
     choice; nothing here depends on it beyond nearest-neighbour locality.
 
     A draw of `size` circuits takes all their gates from one `haar_unitary`
-    stack, circuit-major in layer order; one chunk's stack must fit in
-    CHUNK_BYTES, which caps a circuit at 4096 gates. Circuits are assembled
+    stack, circuit-major in layer order; a circuit is capped at
+    MAX_BRICKWORK_GATES = 4096 gates, 1 MiB of them. Circuits are assembled
     in sub-stacks of at most MC_CHUNK // 4 circuits and ASSEMBLY_BYTES. A
     layer whose gates cover the w qubits from qubit q0 on is a 2^w-sided
     matrix G: its first gate written into zeros as g (x) I, then each later
@@ -579,10 +615,9 @@ def brickwork_ensemble(n: int, depth: int, seed: int | None = None) -> Ensemble:
         raise ValueError(f"dense guard exceeded: d={d} > {DENSE_GUARD}")
     # even layers hold n // 2 gates, odd layers (n - 1) // 2
     n_gates = (depth + 1) // 2 * (n // 2) + depth // 2 * ((n - 1) // 2)
-    max_gates = CHUNK_BYTES // (MC_CHUNK * 16 * 4 * 4)
-    if n_gates > max_gates:
+    if n_gates > MAX_BRICKWORK_GATES:
         raise ValueError(f"brickwork of depth {depth} on {n} qubits has {n_gates} gates; "
-                         f"a chunk holds at most {max_gates}")
+                         f"a chunk holds at most {MAX_BRICKWORK_GATES}")
     # (q0, w) of the even and the odd layers; w = 0 for an empty layer (n = 2)
     spans = [(q0, 2 * len(range(q0, n - 1, 2))) for q0 in (0, 1)]
 
@@ -664,10 +699,12 @@ def kfold_channel_apply(ens: Ensemble, a: np.ndarray, k: int,
     acc = np.zeros_like(a)
     acc2 = np.zeros(a.shape)
     with contextlib.closing(ens.stream(ens.resolve_seed(), n)) as chunks:
-        for el in itertools.chain.from_iterable(chunks):
-            term = _kfold_conjugate(element_to_matrix(el), a, k)
-            acc += term
-            acc2 += np.abs(term) ** 2
+        for chunk in chunks:
+            for el in chunk:
+                term = _kfold_conjugate(element_to_matrix(el), a, k)
+                acc += term
+                acc2 += np.abs(term) ** 2
+            del chunk, el  # el is a view of the chunk
     mean = acc / n
     var = np.maximum((acc2 - n * np.abs(mean) ** 2) / (n - 1), 0.0)
     return ChannelApplyResult(mean, np.sqrt(var / n), n, "monte-carlo")

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import paulialg, wg
 from .cliffordgrp import CliffordTableau, trace_sq
-from .densemat import (DENSE_GUARD, Ensemble, _threads, check_state, dagger, element_to_matrix,
-                       trace)
+from .densemat import (DENSE_GUARD, Ensemble, _threads, blockwise, check_state, dagger,
+                       element_to_matrix, trace)
 from .estimate import Estimate
 from .otolab import tabled_correlator
 from .paulialg import PauliString
@@ -50,7 +50,7 @@ def _check_k(k: int):
 
 def _pair_trace_power(a, b, k: int):
     """|tr(a^dag b)|^(2k) for a pair of ensemble elements, or per pair of two
-    chunks of draws; exact for Pauli/Clifford, a stacked trace otherwise."""
+    chunks of draws; exact for Pauli/Clifford, a blockwise trace otherwise."""
     if isinstance(a, list):
         return np.array([_pair_trace_power(x, y, k) for x, y in zip(a, b)])
     if isinstance(a, PauliString) and isinstance(b, PauliString):
@@ -58,8 +58,9 @@ def _pair_trace_power(a, b, k: int):
         return float(re * re + im * im) ** k
     if isinstance(a, CliffordTableau) and isinstance(b, CliffordTableau):
         return float(trace_sq(b, a)) ** k
-    ma, mb = element_to_matrix(a), element_to_matrix(b)
-    return _per_value(lambda t: (abs(t) ** 2) ** k, trace(dagger(ma) @ mb))
+    traces = blockwise(lambda u, v: trace(dagger(u) @ v), element_to_matrix(a),
+                       element_to_matrix(b))
+    return _per_value(lambda t: (abs(t) ** 2) ** k, traces)
 
 
 def frame_potential_exact(ens: Ensemble, k: int) -> Estimate:
@@ -135,23 +136,26 @@ def _trapezoid_double_average(spectrum, k, t_max, n_grid) -> float:
 
     The tau grid is cut into chunks of TAU_CHUNK_BYTES of complex phases,
     evaluated on the worker threads of densemat._Threads (numpy releases the
-    GIL in exp, outer and sum). Each tau row is computed alone, so f is the
-    same bits for any chunk size and worker count. The result is too only at
-    a fixed OpenBLAS thread count: the weighted sum is a BLAS ddot, which
-    splits its sum over the BLAS threads above 10,000 points. It runs after
-    the pool has closed, outside any pin.
+    GIL in exp, outer and sum). A chunk computes its own values of tau and
+    exponentiates its phases in place. Each tau row is computed alone, so f
+    is the same bits for any chunk size and worker count. The result is too
+    only at a fixed OpenBLAS thread count: the weighted sum is a BLAS ddot,
+    which splits its sum over the BLAS threads above 10,000 points. It runs
+    after the pool has closed, outside any pin.
     """
     energies = np.asarray(spectrum, dtype=float)
     h = t_max / (n_grid - 1)
-    taus = h * np.arange(n_grid)
     f = np.empty(n_grid)
     rows = max(1, TAU_CHUNK_BYTES // (16 * len(energies)))
     errstate = np.geterr()  # new threads start from numpy's default errstate
 
     def row_powers(lo):
+        hi = min(lo + rows, n_grid)
         with np.errstate(**errstate):
-            phases = np.exp(-1j * np.outer(taus[lo:lo + rows], energies))
-            f[lo:lo + rows] = np.abs(phases.sum(axis=1)) ** (2 * k)
+            # exp(-i tau E) in place: the bits of np.exp(-1j * np.outer(tau, E))
+            phases = np.zeros((hi - lo, len(energies)), dtype=complex)
+            np.negative(np.outer(h * np.arange(lo, hi), energies), out=phases.imag)
+            f[lo:hi] = np.abs(np.exp(phases, out=phases).sum(axis=1)) ** (2 * k)
 
     with _threads() as threads:
         threads.map(row_powers, range(0, n_grid, rows))
@@ -203,14 +207,16 @@ def _generalized(ens, rho, k, variant, mc_samples) -> Estimate:
     if ens.kind == "discrete":  # convert each element once, not once per pair
         ens = replace(ens, elements=tuple(map(element_to_matrix, ens.elements)))
 
-    def integrand(a, b):
-        u, v = element_to_matrix(a), element_to_matrix(b)
+    def values(u, v):
         z1 = trace(root @ u @ dagger(v))
         if variant == "F":
             z2 = trace(root @ v @ dagger(u))
         else:
             z2 = trace(root @ dagger(u) @ v)
         return _per_value(lambda x, y: (x * y) ** k, z1, z2)
+
+    def integrand(a, b):
+        return blockwise(values, element_to_matrix(a), element_to_matrix(b))
 
     est = ens.average(integrand, pairs=True, mc_samples=mc_samples)
     # F is real: its two traces are complex conjugates
@@ -285,7 +291,8 @@ def thermal_W(ens: Ensemble, beta: float, t: float, k: int, mc_samples: int) -> 
         mh, zh = weighted(h, b + 1j * t)
         return _per_value(lambda x: abs(x) ** (2 * k), trace(mg @ mh)) / (zg * zh)
 
-    return ens.average(pair_values, pairs=True, mc_samples=mc_samples)
+    return ens.average(lambda g, h: blockwise(pair_values, g, h), pairs=True,
+                       mc_samples=mc_samples)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import paulialg, wg
 from .cliffordgrp import CliffordTableau, conjugate_pauli
-from .densemat import (DENSE_GUARD, Ensemble, check_state, check_unitary, dagger,
+from .densemat import (DENSE_GUARD, Ensemble, blockwise, check_state, check_unitary, dagger,
                        element_to_matrix, pauli_to_dense, trace)
 from .estimate import Estimate
 from .paulialg import PauliString
@@ -164,12 +164,12 @@ def tabled_correlator(element, a_list, b_list):
 
 def _element_correlator(element, spec: OtoSpec):
     """Correlators of one element, or one per draw of a chunk: exact for
-    Pauli and Clifford elements, dense (stacked) otherwise."""
+    Pauli and Clifford elements, dense (stacked, blockwise) otherwise."""
     if isinstance(element, list):
         return np.array([_element_correlator(el, spec) for el in element])
     if isinstance(element, (PauliString, CliffordTableau)):
         return oto_correlator_exact(element, spec)
-    return oto_correlator(element_to_matrix(element), spec)
+    return blockwise(lambda u: oto_correlator(u, spec), element_to_matrix(element))
 
 
 def oto_ensemble_average(ens: Ensemble, spec: OtoSpec,

@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import time
+import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -479,10 +482,38 @@ class TestStreamedAverage:
         assert sizes == [self.CHUNK, self.CHUNK, 3]
 
     def test_chunk_size(self):
-        # MC_CHUNK up to d = 256; from d = 512 on, 64 MiB of complex draws
-        assert [dm.chunk_size(2**n) for n in range(1, 9)] == [self.CHUNK] * 8
-        assert [dm.chunk_size(2**n) for n in range(9, 13)] == [16, 4, 2, 2]
+        # MC_CHUNK up to d = 64; from d = 128 on, 4 MiB of complex draws
+        assert [dm.chunk_size(2**n) for n in range(1, 7)] == [self.CHUNK] * 6
+        assert [dm.chunk_size(2**n) for n in range(7, 13)] == [16, 4, 2, 2, 2, 2]
         assert dm.chunk_size(2**20) == 2
+
+    def test_an_average_holds_one_chunk(self):
+        # before each draw the sampler checks that the chunk it returned last,
+        # views of it included, is no longer referenced anywhere
+        returned = []
+
+        def sampler(rng, size):
+            assert all(ref() is None for ref in returned), "the last chunk is still held"
+            out = dm.haar_unitary(2, rng, size)
+            returned.append(weakref.ref(out))
+            return out
+
+        ens = dm.Ensemble("recorded", 2, sampler=sampler, seed=1)
+        count = 2 * self.CHUNK + 3
+        ens.average(lambda u: dm.trace(u).real, mc_samples=count)
+        ens.average(lambda u, v: dm.trace(dm.dagger(u) @ v).real, pairs=True,
+                    mc_samples=count)
+        dm.kfold_channel_apply(ens, np.diag([1.0, -1.0]), 1, mc_samples=count)
+        assert len(returned) == 3 + 5 + 3
+        assert all(ref() is None for ref in returned)
+
+    def test_tableau_chunks_are_counted_by_draws(self):
+        # at d = 4096 the byte budget gives chunks of 2 d x d draws; a
+        # tableau holds 2n ints, so chunks after the first are MC_CHUNK
+        ens = cg.clifford_ensemble(12, seed=1)
+        chunks = list(ens.stream(1, 2 * self.CHUNK + 5))
+        assert [len(c) for c in chunks] == [2, self.CHUNK, self.CHUNK, 3]
+        assert sum(chunks, []) == ens.sample_block(1, 2 * self.CHUNK + 5)
 
     def test_byte_budget_keeps_the_draws(self, monkeypatch):
         d, count = 4, 2 * self.CHUNK + 3
@@ -528,6 +559,46 @@ class TestStreamedAverage:
         assert len(streamed) == len(block) == count
         for a, b in zip(block, streamed):
             assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+
+class TestBlockwise:
+    # blocks of ASSEMBLY_BYTES: the whole 18-draw stack at d = 16, 4 draws at
+    # d = 64 and 1 at d = 128, so 9 pairs cross the block edges
+    @pytest.mark.parametrize("d", [16, 64, 128])
+    def test_blocks_give_the_whole_stack_values(self, d):
+        n = d.bit_length() - 1
+        draws = dm.haar_unitary(d, np.random.default_rng(d), 18)
+        a, b = draws[0::2], draws[1::2]
+        pair_trace = lambda u, v: dm.trace(dm.dagger(u) @ v)
+        assert dm.blockwise(pair_trace, a, b).tobytes() == pair_trace(a, b).tobytes()
+        x, z = paulialg.single_site(n, 0, "X"), paulialg.single_site(n, n - 1, "Z")
+        correlators = lambda u: otolab.oto_correlator(u, OtoSpec((x, z), (z, x)))
+        assert dm.blockwise(correlators, draws).tobytes() == correlators(draws).tobytes()
+        assert dm.blockwise(pair_trace, a[0], b[0]) == pair_trace(a[0], b[0])
+
+
+class TestWorkingSet:
+    # numpy reports its buffers to tracemalloc. At d = 256 a chunk is 4 draws,
+    # 4 MiB; an average peaks at about 5 chunks, while a Haar chunk is drawn
+    @pytest.mark.parametrize("estimator", ["frame_potential_mc", "oto_ensemble_average"])
+    def test_peak_is_a_few_chunks(self, estimator):
+        ens = dm.haar_ensemble(256, seed=1)
+        x, z = paulialg.single_site(8, 0, "X"), paulialg.single_site(8, 7, "Z")
+        average = {
+            "frame_potential_mc": lambda: fp.frame_potential_mc(ens, 1, 8),
+            "oto_ensemble_average": lambda: otolab.oto_ensemble_average(
+                ens, OtoSpec((x, x), (z, z)), mc_samples=16),
+        }[estimator]
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            average()
+            seconds = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**22
+        assert seconds < 1.0
 
 
 @pytest.mark.skipif(dm._openblas_threads() is None,
@@ -703,9 +774,8 @@ class TestEnsembles:
         assert labels == ["II", "XI", "IX", "XX"]
 
     def test_brickwork_gates_fit_a_chunk(self):
-        # one chunk's gate stack, MC_CHUNK circuits of 4 x 4 complex gates,
-        # must fit in CHUNK_BYTES: 4096 gates, 8192 layers at n = 2
-        assert dm.CHUNK_BYTES // (dm.MC_CHUNK * 256) == 4096
+        # a circuit holds at most 4096 gates: 8192 layers at n = 2
+        assert dm.MAX_BRICKWORK_GATES == 4096
         dm.brickwork_ensemble(2, 8192)
         with pytest.raises(ValueError, match="4097 gates; a chunk holds at most 4096"):
             dm.brickwork_ensemble(2, 8193)
