@@ -1,9 +1,9 @@
 """Dense complex linear algebra at desk scale.
 
-Unitary/Hamiltonian sampling, matrix exponentials, partial traces,
-permutation operators, k-fold channel application and the ensemble
-abstraction. Operators are plain complex numpy arrays ("DenseOperator");
-unitaries are arrays validated by `check_unitary` at construction sites.
+Unitary/Hamiltonian sampling, matrix exponentials, permutation operators,
+k-fold channel application and the ensemble abstraction. Operators are
+plain complex numpy arrays ("DenseOperator"); unitaries are arrays
+validated by `check_unitary` at construction sites.
 
 All samplers are reproducible: identical seeds give bitwise-identical
 outputs, and Monte-Carlo block streams derive from (seed, block index) so
@@ -342,29 +342,6 @@ def evolve(h: np.ndarray, t: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # tensor algebra
 # ---------------------------------------------------------------------------
-
-def partial_trace(rho: np.ndarray, keep: list[int] | tuple[int, ...]) -> np.ndarray:
-    """Trace out the qubits whose mask entry is 0.
-
-    `keep` is a 0/1 mask of length n (qubit 0 = most significant factor).
-    Requires dim = 2^n; mask/dimension mismatch is an error.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    dim = rho.shape[0]
-    n = dim.bit_length() - 1
-    if 2**n != dim:
-        raise ValueError("partial_trace needs a 2^n-dimensional operator")
-    if len(keep) != n or any(b not in (0, 1) for b in keep):
-        raise ValueError("keep mask must be a 0/1 sequence of length n")
-    keep_idx = [i for i, b in enumerate(keep) if b]
-    drop = [i for i in range(n) if i not in keep_idx]
-    t = rho.reshape([2] * (2 * n))
-    for count, q in enumerate(drop):
-        axis = q - sum(1 for dqq in drop[:count] if dqq < q)
-        t = np.trace(t, axis1=axis, axis2=axis + t.ndim // 2)
-    m = 2 ** len(keep_idx)
-    return t.reshape(m, m)
-
 
 def permutation_operator(perm: tuple[int, ...], d: int) -> np.ndarray:
     """Dense W_perm on (C^d)^(x)k, moving the factor in slot j to slot

@@ -241,13 +241,17 @@ def haar_average_oto_spec(spec: OtoSpec) -> tuple[Fraction, Fraction]:
 
 def restricted_average_commutator(u: np.ndarray, a_ops) -> complex:
     """Average of the commutator-ordered 4m-point correlator over all
-    non-identity B_1..B_m tuples, for one fixed unitary (exact sum)."""
+    non-identity B_1..B_m tuples, for one fixed unitary (exact sum). One
+    table conjugates each B once; the tuples index it."""
     a_ops = tuple(a_ops)
     non_identity = [p for p in paulialg.enumerate_paulis(a_ops[0].n) if not p.is_identity_bits]
     b_tuples = list(itertools.product(non_identity, repeat=len(a_ops)))
+    words = [OtoSpec(a_ops, b_ops, "commutator").expanded() for b_ops in b_tuples]
+    a_list = list(dict.fromkeys(words[0][0]))
+    corr = tabled_correlator(u, a_list, non_identity)
     total = 0j
-    for b_ops in b_tuples:
-        total += oto_correlator(u, OtoSpec(a_ops, b_ops, "commutator"))
+    for a_full, b_full in words:
+        total += corr([a_list.index(a) for a in a_full], [non_identity.index(b) for b in b_full])
     return total / len(b_tuples)
 
 

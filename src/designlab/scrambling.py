@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import paulialg
-from .densemat import DENSE_GUARD, check_state, check_unitary, partial_trace, pauli_to_dense
+from .densemat import DENSE_GUARD, check_state, check_unitary, pauli_to_dense
+from .otolab import tabled_correlator
 from .paulialg import PauliString
 
 
@@ -38,9 +39,6 @@ class ChoiState:
     def __post_init__(self):
         if abs(np.linalg.norm(self.amplitudes) - 1.0) > 1e-10:
             raise ValueError("Choi state must be normalized")
-
-    def density(self) -> np.ndarray:
-        return np.outer(self.amplitudes, self.amplitudes.conj())
 
 
 @dataclass(frozen=True)
@@ -86,7 +84,7 @@ def choi_state(u: np.ndarray) -> ChoiState:
     n = d.bit_length() - 1
     if 2**n != d:
         raise ValueError("need a 2^n-dimensional unitary")
-    if d * d > DENSE_GUARD:  # the Choi density matrix has side d^2
+    if d * d > DENSE_GUARD:  # an m-sided marginal holds m d^2 products, d^4 if m = d^2
         raise ValueError(f"dense guard exceeded: Choi state side d^2 = {d * d} > {DENSE_GUARD}")
     return ChoiState(n, u.T.reshape(-1) / math.sqrt(d))
 
@@ -104,12 +102,22 @@ def renyi_entropy(rho: np.ndarray, k: int) -> float:
 
 
 def _choi_marginal(state: ChoiState, in_qubits, out_qubits) -> np.ndarray:
-    mask = [0] * (2 * state.n)
-    for q in in_qubits:
-        mask[q] = 1
-    for q in out_qubits:
-        mask[state.n + q] = 1
-    return partial_trace(state.density(), mask)
+    """rho_K of the pure Choi state, K the listed input and output qubits.
+
+    The kept axes of the amplitude tensor go to the front, each pair of
+    kept indices takes the products b_i b_j^* (the multiply of np.outer),
+    and the dropped axes are summed one at a time, lowest qubit first: the
+    order of a successive partial trace of |U><U|, whose bits this keeps.
+    An m-sided marginal holds m d^2 products, never the d^2-sided density.
+    """
+    keep = sorted({*in_qubits, *(state.n + q for q in out_qubits)})
+    drop = [q for q in range(2 * state.n) if q not in keep]
+    m = 2 ** len(keep)
+    b = state.amplitudes.reshape([2] * (2 * state.n)).transpose(keep + drop).reshape(m, -1)
+    products = (b[:, None, :] * b.conj()[None, :, :]).reshape(m, m, *[2] * len(drop))
+    for _ in drop:
+        products = products.sum(axis=2)
+    return products
 
 
 def _region_paulis(n: int, qubits) -> list[PauliString]:
@@ -176,23 +184,14 @@ def renyi_k_oto(u: np.ndarray, part: IoPartition, k: int) -> tuple[float, float]
                 for free in itertools.product(paulis, repeat=k - 1)]
 
     a_tuples, d_tuples = with_last(a_paulis), with_last(d_paulis)
-    # one dense matrix per distinct (phased) Pauli, free or constrained
-    a_mats = {p: pauli_to_dense(p) for p in dict.fromkeys(
-        [*a_paulis, *(last for _, last in a_tuples)])}
-    d_mats = {p: u.conj().T @ pauli_to_dense(p) @ u for p in dict.fromkeys(
-        [*d_paulis, *(last for _, last in d_tuples)])}
-
-    total = 0j
-    count = 0
-    for a_free, a_last in a_tuples:
-        for d_free, d_last in d_tuples:
-            acc = np.eye(d, dtype=complex)
-            for a_p, d_p in zip(a_free, d_free):
-                acc = acc @ a_mats[a_p] @ d_mats[d_p]
-            acc = acc @ a_mats[a_last] @ d_mats[d_last]
-            total += np.trace(acc) / d
-            count += 1
-    lhs = float((total / count).real)
+    # one table over every distinct (phased) Pauli, free or constrained
+    a_list = list(dict.fromkeys([*a_paulis, *(last for _, last in a_tuples)]))
+    d_list = list(dict.fromkeys([*d_paulis, *(last for _, last in d_tuples)]))
+    corr = tabled_correlator(u, a_list, d_list)
+    a_words = [[a_list.index(p) for p in (*free, last)] for free, last in a_tuples]
+    d_words = [[d_list.index(p) for p in (*free, last)] for free, last in d_tuples]
+    total = sum((corr(ai, di) for ai in a_words for di in d_words), 0j)
+    lhs = float((total / (len(a_words) * len(d_words))).real)
 
     sk = renyi_entropy(rho_ac, k)
     rhs = (d / (part.d_a * part.d_d)) ** (k - 1) * 2.0 ** (-(k - 1) * sk)
@@ -225,6 +224,8 @@ def catch_game(u: np.ndarray, perturbation: dict[PauliString, float]) -> float:
     u = check_unitary(u)
     d = u.shape[0]
     n = d.bit_length() - 1
+    if d * d > DENSE_GUARD:  # U (x) U* has side d^2
+        raise ValueError(f"dense guard exceeded: catch game side d^2 = {d * d} > {DENSE_GUARD}")
     total_p = sum(perturbation.values())
     if abs(total_p - 1.0) > 1e-10:
         raise ValueError("perturbation distribution must be normalized")

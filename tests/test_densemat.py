@@ -1,6 +1,5 @@
 """Tests for dense sampling, tensor algebra, channels and ensembles."""
 
-import itertools
 import math
 import time
 import tracemalloc
@@ -305,29 +304,6 @@ class TestCheckState:
                            (np.ones((2, 3)) / 2, "square")]:
             with pytest.raises(ValueError, match=match):
                 call(bad.astype(complex))
-
-
-class TestTensorAndPartialTrace:
-    def test_epr_partial_trace(self):
-        epr = np.zeros(4, dtype=complex)
-        epr[0] = epr[3] = 1 / np.sqrt(2)
-        rho = np.outer(epr, epr.conj())
-        np.testing.assert_allclose(dm.partial_trace(rho, (1, 0)), np.eye(2) / 2, atol=1e-12)
-        np.testing.assert_allclose(dm.partial_trace(rho, (0, 1)), np.eye(2) / 2, atol=1e-12)
-
-    def test_trace_preservation(self):
-        rng = np.random.default_rng(9)
-        a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        rho = a @ a.conj().T
-        rho /= np.trace(rho)
-        for mask in itertools.product((0, 1), repeat=3):
-            if not any(mask):
-                continue
-            assert np.trace(dm.partial_trace(rho, mask)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_mask_mismatch(self):
-        with pytest.raises(ValueError):
-            dm.partial_trace(np.eye(4), (1, 0, 1))
 
 
 class TestPermutationOperator:

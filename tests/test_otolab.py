@@ -510,6 +510,19 @@ class TestPredictTable:
             want = float(predict("haar", "four_m_point", d, m=m))
             assert got == pytest.approx(want, abs=1e-10)
 
+    @pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_restricted_average_is_the_per_tuple_loop(self, n, m):
+        # one table for every B-tuple gives the bits of one correlator per tuple
+        rng = np.random.default_rng(12 + 2 * n + m)
+        a_ops = tuple(paulialg.random_pauli(n, rng, exclude_identity=True) for _ in range(m))
+        u = dm.haar_unitary(2**n, rng)
+        non_identity = [p for p in paulialg.enumerate_paulis(n) if not p.is_identity_bits]
+        b_tuples = list(itertools.product(non_identity, repeat=m))
+        total = 0j
+        for b_ops in b_tuples:
+            total += oto_correlator(u, OtoSpec(a_ops, b_ops, "commutator"))
+        assert otolab.restricted_average_commutator(u, a_ops) == total / len(b_tuples)
+
     def test_unsupported_patterns_raise(self):
         with pytest.raises(ValueError, match="supported"):
             predict("clifford", "six_point_commuting", 4)

@@ -2,12 +2,13 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from designlab import densemat as dm
-from designlab import paulialg
+from designlab import otolab, paulialg
 from designlab import scrambling as sc
 from designlab.paulialg import from_label
 
@@ -18,6 +19,50 @@ def swap_unitary():
         for b in range(2):
             s[b * 2 + a, a * 2 + b] = 1.0
     return s.astype(complex)
+
+
+def partial_trace(rho, keep):
+    """Trace out the qubits whose mask entry is 0 (qubit 0 = most
+    significant factor), one np.trace per qubit, lowest first: the oracle of
+    scrambling._choi_marginal."""
+    rho = np.asarray(rho, dtype=complex)
+    dim = rho.shape[0]
+    n = dim.bit_length() - 1
+    if 2**n != dim:
+        raise ValueError("partial_trace needs a 2^n-dimensional operator")
+    if len(keep) != n or any(b not in (0, 1) for b in keep):
+        raise ValueError("keep mask must be a 0/1 sequence of length n")
+    keep_idx = [i for i, b in enumerate(keep) if b]
+    drop = [i for i in range(n) if i not in keep_idx]
+    t = rho.reshape([2] * (2 * n))
+    for count, q in enumerate(drop):
+        axis = q - sum(1 for dqq in drop[:count] if dqq < q)
+        t = np.trace(t, axis1=axis, axis2=axis + t.ndim // 2)
+    m = 2 ** len(keep_idx)
+    return t.reshape(m, m)
+
+
+class TestTensorAndPartialTrace:
+    def test_epr_partial_trace(self):
+        epr = np.zeros(4, dtype=complex)
+        epr[0] = epr[3] = 1 / np.sqrt(2)
+        rho = np.outer(epr, epr.conj())
+        np.testing.assert_allclose(partial_trace(rho, (1, 0)), np.eye(2) / 2, atol=1e-12)
+        np.testing.assert_allclose(partial_trace(rho, (0, 1)), np.eye(2) / 2, atol=1e-12)
+
+    def test_trace_preservation(self):
+        rng = np.random.default_rng(9)
+        a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        rho = a @ a.conj().T
+        rho /= np.trace(rho)
+        for mask in itertools.product((0, 1), repeat=3):
+            if not any(mask):
+                continue
+            assert np.trace(partial_trace(rho, mask)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_mask_mismatch(self):
+        with pytest.raises(ValueError):
+            partial_trace(np.eye(4), (1, 0, 1))
 
 
 class TestChoiState:
@@ -36,9 +81,8 @@ class TestChoiState:
         # SWAP pairs in1<->out2 and in2<->out1: both marginals maximally mixed,
         # and the (in1, out2) marginal is a pure EPR pair
         state = sc.choi_state(swap_unitary())
-        rho = state.density()
         # qubit layout: (in1, in2, out1, out2)
-        rho_in1_out2 = dm.partial_trace(rho, (1, 0, 0, 1))
+        rho_in1_out2 = sc._choi_marginal(state, (0,), (1,))
         epr = np.zeros(4, dtype=complex)
         epr[0] = epr[3] = 1 / math.sqrt(2)
         np.testing.assert_allclose(rho_in1_out2, np.outer(epr, epr.conj()), atol=1e-10)
@@ -46,8 +90,45 @@ class TestChoiState:
     def test_input_marginal_maximally_mixed(self):
         rng = np.random.default_rng(1)
         state = sc.choi_state(dm.haar_unitary(4, rng))
-        rho_in = dm.partial_trace(state.density(), (1, 1, 0, 0))
+        rho_in = sc._choi_marginal(state, (0, 1), ())
         np.testing.assert_allclose(rho_in, np.eye(4) / 4, atol=1e-10)
+
+
+class TestChoiMarginal:
+    @staticmethod
+    def assert_marginals_are_the_oracle(n, seed, stride=1):
+        """Every stride-th (A, C) mask from the seed's offset on."""
+        state = sc.choi_state(dm.haar_unitary(2**n, np.random.default_rng(seed)))
+        rho = np.outer(state.amplitudes, state.amplitudes.conj())
+        masks = itertools.product((0, 1), repeat=2 * n)
+        for mask in itertools.islice(masks, seed % stride, None, stride):
+            in_qubits = [q for q in range(n) if mask[q]]
+            out_qubits = [q for q in range(n) if mask[n + q]]
+            got = sc._choi_marginal(state, in_qubits, out_qubits)
+            assert got.tobytes() == partial_trace(rho, mask).tobytes(), mask
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_marginal_keeps_the_partial_trace_bits(self, n):
+        self.assert_marginals_are_the_oracle(n, 20 + n)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_n5_marginals_keep_the_partial_trace_bits(self, seed):
+        # 128 of the 1024 masks a seed, each seed its own residue mod 8
+        self.assert_marginals_are_the_oracle(5, seed, stride=8)
+
+    def test_working_set_has_no_choi_density(self):
+        # n = 5: the d^2-sided density alone is 16 MiB; the largest marginal
+        # product here (rho_ABD, 64 sides) is 1 MiB
+        u = dm.haar_unitary(32, np.random.default_rng(3))
+        part = sc.IoPartition(5, (0,), (4,))
+        tracemalloc.start()
+        try:
+            lhs, _ = sc.oto_renyi2_check(u, part)
+            sc.mutual_info_2(u, part, lhs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestRenyiEntropy:
@@ -176,7 +257,9 @@ class TestRenyiKIdentity:
         # n=2, k=3: 520 pauli_to_dense calls when every tuple rebuilt its constrained pair
         part, k = sc.IoPartition(2, (0,), (1,)), 3
         calls = []
-        monkeypatch.setattr(sc, "pauli_to_dense", lambda p: calls.append(p) or dm.pauli_to_dense(p))
+        for module in (sc, otolab):
+            monkeypatch.setattr(module, "pauli_to_dense",
+                                lambda p: calls.append(p) or dm.pauli_to_dense(p))
         lhs, rhs = sc.renyi_k_oto(dm.haar_unitary(4, np.random.default_rng(8)), part, k)
         assert abs(lhs - rhs) <= 1e-8
         budget = 0
@@ -241,3 +324,8 @@ class TestCatchGame:
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
             sc.catch_game(np.eye(4), {paulialg.identity(2): 0.5})
+
+    def test_dense_guard_before_the_kron(self):
+        # U (x) U* at n = 7 has side 16384: 4 GiB if it were built
+        with pytest.raises(ValueError, match="dense guard exceeded"):
+            sc.catch_game(np.eye(128), {paulialg.identity(7): 1.0})
