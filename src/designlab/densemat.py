@@ -21,14 +21,14 @@ before the next is drawn, so a Monte-Carlo average holds one chunk and its
 sampler's or integrand's temporaries at a time, whatever the sample count:
 about 5 chunks at the peak of a Haar or GUE draw. The estimators' dense
 integrands run `blockwise`, ASSEMBLY_BYTES of draws at a time, so theirs
-are small. A chunk is MC_CHUNK draws, or fewer from d = 128 on (16, then 4
-at d = 256 and 2 from d = 512), so that its d^2 complex numbers per draw
-stay within CHUNK_BYTES (4 MiB). Clifford tableaux hold 2n ints a draw, so
-their chunks are MC_CHUNK draws from the second on. A brickwork chunk also
-holds its gates (256 B a gate, at most MAX_BRICKWORK_GATES = 4096 per
-circuit) and the temporaries of the circuits being assembled, each layer
-only as wide as the qubits its gates cover: up to MC_CHUNK // 4 = 16
-circuits, or ASSEMBLY_BYTES of them (4 at d = 64) per worker thread.
+are small. A chunk is MC_CHUNK draws, or fewer from d = 128 on (16, then 4 at
+d = 256 and 2 from d = 512), so that its d^2 complex numbers per draw stay
+within CHUNK_BYTES (4 MiB). Clifford tableaux hold 2n ints a draw, so their
+chunks are MC_CHUNK draws from the second on. A brickwork chunk draws its
+gates (256 B each) CHUNK_BYTES at a time, or one sub-stack per pool worker,
+and holds the temporaries of the circuits being assembled, each layer only as
+wide as the qubits its gates cover: up to MC_CHUNK // 4 = 16 circuits, or
+ASSEMBLY_BYTES of them (4 at d = 64) per worker thread.
 
 Threads: `_Threads` is the one place that spreads work over the CPUs. It
 runs independent tasks on one worker thread per usable CPU (the time
@@ -137,17 +137,19 @@ def mc_estimate(vals: np.ndarray, seed: int | None) -> Estimate:
     return Estimate(mean, se, n, seed=seed, method="monte-carlo")
 
 
-def check_state(rho: np.ndarray) -> np.ndarray:
-    """A density matrix: square, Hermitian, unit trace and positive
-    semidefinite, each within UNITARY_TOL (no eigenvalue below -UNITARY_TOL)."""
+def check_state(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A density matrix and its ascending eigenvalues (one eigvalsh): square,
+    Hermitian, unit trace and positive semidefinite, each within UNITARY_TOL
+    (no eigenvalue below -UNITARY_TOL)."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError("rho must be a square matrix")
     if np.max(np.abs(rho - rho.conj().T)) > UNITARY_TOL or abs(np.trace(rho) - 1) > UNITARY_TOL:
         raise ValueError("rho must be Hermitian with unit trace")
-    if np.linalg.eigvalsh(rho).min() < -UNITARY_TOL:
+    evals = np.linalg.eigvalsh(rho)
+    if evals.min() < -UNITARY_TOL:
         raise ValueError("rho is not positive semidefinite")
-    return rho
+    return rho, evals
 
 
 _SIGMA = {
@@ -158,45 +160,17 @@ _SIGMA = {
 }
 
 
-def _kron_tables():
-    """Tables that give pauli_to_dense the bytes of kron(s_1, ..., s_n).
-
-    Entry (r, c) of that chain is 1 times one entry of each letter's matrix,
-    multiplied in qubit order. The products take few values, but the signs
-    of their zeros depend on the factors and their order (Z (x) I holds
-    -0.0), so no formula for the signed permutation gives the same bytes.
-    Instead: entry[letter] indexes the distinct entries of the four matrices,
-    and values[step[v, f]] is values[v] times entry f as kron multiplies it.
-    """
-    factors: dict[bytes, int] = {}
-    entry = {letter: np.array([[factors.setdefault(v.tobytes(), len(factors)) for v in row]
-                               for row in m]) for letter, m in _SIGMA.items()}
-    factor_values = np.frombuffer(b"".join(factors), dtype=complex)
-    values = [np.complex128(1)]
-    seen = {values[0].tobytes(): 0}
-    step = []
-    for v in values:  # grows to the closure of 1 under the entries
-        step.append([])
-        for w in np.kron([v], factor_values):
-            step[-1].append(seen.setdefault(w.tobytes(), len(values)))
-            if step[-1][-1] == len(values):
-                values.append(w)
-    return np.array(values), np.array(step, dtype=np.uint8), entry
-
-
-_VALUES, _STEP, _ENTRY = _kron_tables()
-
-
 def pauli_to_dense(p: PauliString) -> np.ndarray:
     """Dense matrix of a PauliString, phase included: i**phase times the
-    kron chain of its letters' matrices, byte for byte, built by index. Each
-    qubit refines the (r, c) table indices; one gather then reads the
-    values, so no complex product is formed before the phase."""
-    idx = np.zeros((1, 1), dtype=np.uint8)
+    kron chain of its letters' matrices, byte for byte (Z (x) I holds -0.0):
+    each letter's 2 x 2 matrix multiplies the matrix so far by broadcasting,
+    the products np.kron forms. The dense guard comes before any of them."""
+    if 2**p.n > DENSE_GUARD:
+        raise ValueError(f"dense guard exceeded: d={2**p.n} > {DENSE_GUARD}")
+    m = np.ones((1, 1), dtype=complex)
     for letter in p.letters():
-        m = len(idx)
-        idx = _STEP[idx[:, None, :, None], _ENTRY[letter][None, :, None, :]].reshape(2 * m, 2 * m)
-    return (1j**p.phase) * _VALUES[idx]
+        m = (m[:, None, :, None] * _SIGMA[letter][None, :, None, :]).reshape(2 * len(m), -1)
+    return (1j**p.phase) * m
 
 
 # ---------------------------------------------------------------------------
@@ -563,18 +537,19 @@ def brickwork_ensemble(n: int, depth: int, seed: int | None = None) -> Ensemble:
     independent Haar 2-qubit gates. The gate arrangement is a modeling
     choice; nothing here depends on it beyond nearest-neighbour locality.
 
-    A draw of `size` circuits takes all their gates from one `haar_unitary`
-    stack, circuit-major in layer order; a circuit is capped at
-    MAX_BRICKWORK_GATES = 4096 gates, 1 MiB of them. Circuits are assembled
-    in sub-stacks of at most MC_CHUNK // 4 circuits and ASSEMBLY_BYTES. A
-    layer whose gates cover the w qubits from qubit q0 on is a 2^w-sided
-    matrix G: its first gate written into zeros as g (x) I, then each later
-    gate applied to G with inner dimension 4 (`_apply_on`). G is applied to
-    the circuit with inner dimension 2^w; only the first layer is written
-    into zeros instead, as G (x) I. Once ASSEMBLY_BYTES sets the sub-stack
-    size (d >= 64), the sub-stacks run on the worker threads with OpenBLAS
-    pinned to one thread (`_Threads`); below that a zgemm is too short to
-    gain from the pool, and they run inline.
+    Gates are drawn circuit-major, in layer order, in `haar_unitary` stacks of
+    CHUNK_BYTES (a circuit holds at most MAX_BRICKWORK_GATES = 4096, 1 MiB) or
+    of a sub-stack per pool worker: a stack is the one-at-a-time draws, so the
+    grouping keeps the bits. Circuits are assembled in sub-stacks of at most
+    MC_CHUNK // 4 circuits and ASSEMBLY_BYTES. A layer whose gates cover the w
+    qubits from qubit q0 on is a 2^w-sided matrix G: its first gate written
+    into zeros as g (x) I, then each later gate applied to G with inner
+    dimension 4 (`_apply_on`). G is applied to the circuit with inner
+    dimension 2^w; only the first layer is written into zeros instead, as
+    G (x) I. Once ASSEMBLY_BYTES sets the sub-stack size (d >= 64), the
+    sub-stacks run on the worker threads with OpenBLAS pinned to one thread
+    (`_Threads`); below that a zgemm is too short to gain from the pool, and
+    they run inline.
 
     Each product sums the nonzero terms of the 2^n-sided zgemm that a
     circuit-at-a-time loop of `kron` embeddings would make, in the same
@@ -599,13 +574,13 @@ def brickwork_ensemble(n: int, depth: int, seed: int | None = None) -> Ensemble:
     spans = [(q0, 2 * len(range(q0, n - 1, 2))) for q0 in (0, 1)]
 
     per_task = max(1, min(MC_CHUNK // 4, ASSEMBLY_BYTES // (16 * d * d)))
+    pooled = per_task < MC_CHUNK // 4
 
     def sampler(rng, size):
-        stack = haar_unitary(4, rng, (size, n_gates))  # circuit-major gate order
         out = np.empty((size, d, d), dtype=complex)
 
-        def assemble(lo):
-            sub = stack[lo:lo + per_task]
+        def assemble(job):
+            lo, sub = job
             gates = iter(np.moveaxis(sub, 1, 0))
             u = None
             for layer in range(depth):
@@ -618,13 +593,18 @@ def brickwork_ensemble(n: int, depth: int, seed: int | None = None) -> Ensemble:
                 u = _beside_identity(g, 2 ** (n - w)) if u is None else _apply_on(g, u, q0)
             out[lo:lo + len(sub)] = u
 
-        starts = range(0, size, per_task)
-        if per_task < MC_CHUNK // 4:
-            with _threads() as threads:
-                threads.map(assemble, starts, blas=True)
-        else:
-            for lo in starts:
-                assemble(lo)
+        # at most CHUNK_BYTES of gates at a time, but a sub-stack for each pool worker
+        group = max(CHUNK_BYTES // (256 * n_gates), per_task * _workers() if pooled else 1)
+        with _threads() as threads:
+            for g0 in range(0, size, group):
+                stack = haar_unitary(4, rng, (min(group, size - g0), n_gates))  # circuit-major
+                jobs = [(g0 + lo, stack[lo:lo + per_task]) for lo in range(0, len(stack), per_task)]
+                if pooled:
+                    threads.map(assemble, jobs, blas=True)
+                else:
+                    for job in jobs:
+                        assemble(job)
+                del stack, jobs  # else they live through the next draw
         return out
 
     return Ensemble("brickwork", d, sampler=sampler, seed=seed)

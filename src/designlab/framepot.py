@@ -19,8 +19,8 @@ import numpy as np
 
 from . import paulialg, wg
 from .cliffordgrp import CliffordTableau, trace_sq
-from .densemat import (DENSE_GUARD, Ensemble, _threads, blockwise, check_state, dagger,
-                       element_to_matrix, trace)
+from .densemat import (DENSE_GUARD, Ensemble, _threads, blockwise, check_state, check_unitary,
+                       dagger, element_to_matrix, trace)
 from .estimate import Estimate
 from .otolab import tabled_correlator
 from .paulialg import PauliString
@@ -92,9 +92,9 @@ def frame_potential_via_oto(ens: Ensemble, k: int) -> Estimate:
             |<A_1 B~_1 ... A_k B~_k>_ens|^2
 
     An independent oracle for frame_potential_exact; enumeration budget
-    limits it to small (n, k). Each element conjugates the 4^n Paulis once
-    (otolab.tabled_correlator); the ensemble average of each tuple then sums
-    w * correlator in element order, as Ensemble.average does.
+    limits it to small (n, k). Each element (checked once if dense)
+    conjugates the 4^n Paulis once (otolab.tabled_correlator); each tuple's
+    average sums w * correlator in element order, as Ensemble.average does.
     """
     if ens.kind != "discrete":
         raise ValueError("the OTO route enumerates exact ensemble averages; "
@@ -104,7 +104,8 @@ def frame_potential_via_oto(ens: Ensemble, k: int) -> Estimate:
         raise ValueError("Pauli tuple budget exceeded")
     d = ens.dim
     paulis = paulialg.enumerate_paulis(n)
-    correlators = [tabled_correlator(el, paulis, paulis) for el in ens.elements]
+    correlators = [tabled_correlator(check_unitary(el) if isinstance(el, np.ndarray) else el,
+                                     paulis, paulis) for el in ens.elements]
     codes = range(len(paulis))
     total = 0.0
     for a_idx in itertools.product(codes, repeat=k):
@@ -198,7 +199,7 @@ def time_averaged_frame_potential(spectrum, k: int, t_max: float,
 # ---------------------------------------------------------------------------
 
 def _state_root(rho: np.ndarray, k: int) -> np.ndarray:
-    evals, vecs = np.linalg.eigh(check_state(rho))
+    evals, vecs = np.linalg.eigh(check_state(rho)[0])
     return (vecs * np.clip(evals, 0.0, None) ** (1.0 / k)) @ vecs.conj().T
 
 

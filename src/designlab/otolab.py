@@ -94,8 +94,11 @@ class OtoSpec:
 
 def oto_correlator(u: np.ndarray, spec: OtoSpec):
     """(1/d) tr{A_1 U+ B_1 U ... } for a dense unitary (a complex), or for
-    each unitary of a (..., d, d) stack (an array)."""
-    return _word_correlator(u, *spec.expanded())
+    each unitary of a (..., d, d) stack (an array), checked once. A word
+    wider than DENSE_GUARD fails before that d^3 check."""
+    if 2**spec.n > DENSE_GUARD:
+        raise ValueError(f"dense guard exceeded: d={2**spec.n} > {DENSE_GUARD}")
+    return _word_correlator(check_unitary(u), *spec.expanded())
 
 
 def _conjugated_b(element, b: PauliString) -> PauliString:
@@ -130,7 +133,8 @@ def tabled_correlator(element, a_list, b_list):
     Every B~ is computed here, once: as exact (x, z, phase) ints for a Pauli
     or Clifford element, whose words then multiply in paulialg's product
     kernel with no PauliString built, and as dense matrices for a unitary or
-    a (..., d, d) stack of them, whose words multiply left to right.
+    a (..., d, d) stack of them, whose words multiply left to right. A dense
+    element comes checked; the A's come first, so the dense guard does too.
     """
     n = a_list[0].n
     d = 2**n
@@ -144,21 +148,18 @@ def tabled_correlator(element, a_list, b_list):
                 factors += (a_tab[i], b_tab[j])
             return complex(*paulialg._trace(factors, n)) / d
         return corr
-    u = check_unitary(element_to_matrix(element))
-    if u.shape[-1] != d:
-        raise ValueError("unitary dimension does not match the operators")
-    if d > DENSE_GUARD:
-        raise ValueError("dense guard exceeded")
-    u_dag = dagger(u)
     a_tab = [pauli_to_dense(a) for a in a_list]
-    b_tab = [u_dag @ pauli_to_dense(b) @ u for b in b_list]
+    if element.shape[-1] != d:
+        raise ValueError("unitary dimension does not match the operators")
+    u_dag = dagger(element)
+    b_tab = [u_dag @ pauli_to_dense(b) @ element for b in b_list]
 
     def corr(ai, bi):
         acc = np.eye(d, dtype=complex)
         for i, j in zip(ai, bi):
             acc = acc @ a_tab[i] @ b_tab[j]
         values = trace(acc) / d
-        return complex(values) if u.ndim == 2 else values
+        return complex(values) if element.ndim == 2 else values
     return corr
 
 
@@ -183,7 +184,7 @@ def regulated_oto(rho: np.ndarray, u: np.ndarray, spec: OtoSpec) -> complex:
     """tr{rho^(1/2k) A_1 rho^(1/2k) B~_1 ...}: one fractional power of the
     state between every insertion. rho = I/d reduces this to the plain
     correlator exactly."""
-    rho = check_state(rho)
+    rho, _ = check_state(rho)
     d = 2**spec.n
     if rho.shape != (d, d):
         raise ValueError("state dimension mismatch")
@@ -248,7 +249,7 @@ def restricted_average_commutator(u: np.ndarray, a_ops) -> complex:
     b_tuples = list(itertools.product(non_identity, repeat=len(a_ops)))
     words = [OtoSpec(a_ops, b_ops, "commutator").expanded() for b_ops in b_tuples]
     a_list = list(dict.fromkeys(words[0][0]))
-    corr = tabled_correlator(u, a_list, non_identity)
+    corr = tabled_correlator(check_unitary(u), a_list, non_identity)
     total = 0j
     for a_full, b_full in words:
         total += corr([a_list.index(a) for a in a_full], [non_identity.index(b) for b in b_full])

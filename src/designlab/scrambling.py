@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import paulialg
-from .densemat import DENSE_GUARD, check_state, check_unitary, pauli_to_dense
+from .densemat import DENSE_GUARD, check_state, check_unitary, dagger, pauli_to_dense
 from .otolab import tabled_correlator
 from .paulialg import PauliString
 
@@ -79,7 +79,11 @@ class IoPartition:
 
 def choi_state(u: np.ndarray) -> ChoiState:
     """|U> = d^(-1/2) sum_ij u_ij |j>|i> = (I (x) U) |EPR>."""
-    u = check_unitary(u)
+    return _choi_state(check_unitary(u))
+
+
+def _choi_state(u: np.ndarray) -> ChoiState:
+    """choi_state of a unitary its caller has checked."""
     d = u.shape[0]
     n = d.bit_length() - 1
     if 2**n != d:
@@ -92,7 +96,7 @@ def choi_state(u: np.ndarray) -> ChoiState:
 def renyi_entropy(rho: np.ndarray, k: int) -> float:
     """Renyi-k entropy in bits: log2 tr(rho^k) / (1-k); k=1 is the von
     Neumann entropy via the eigenvalue Shannon sum."""
-    evals = np.clip(np.linalg.eigvalsh(check_state(rho)), 0.0, None)
+    evals = np.clip(check_state(rho)[1], 0.0, None)
     if k == 1:
         nz = evals[evals > 1e-15]
         return float(-(nz * np.log2(nz)).sum())
@@ -137,21 +141,18 @@ def oto_renyi2_check(u: np.ndarray, part: IoPartition) -> tuple[float, float]:
     first so the dense guard on its d^2 side stops before the Pauli sum.
     """
     u = check_unitary(u)
-    d = 2**part.n
-    rho_ac = _choi_marginal(choi_state(u), part.a_qubits, part.c_qubits)
-    a_ops = [pauli_to_dense(p) for p in _region_paulis(part.n, part.a_qubits)]
-    d_ops = [pauli_to_dense(p) for p in _region_paulis(part.n, part.d_qubits)]
-    dt = [u.conj().T @ m @ u for m in d_ops]
-    a_stack = np.stack(a_ops)
-    d_stack = np.stack(dt)
-    vals = np.einsum("aij,djk,akl,dli->ad", a_stack, d_stack,
-                     a_stack.conj().transpose(0, 2, 1),
-                     d_stack.conj().transpose(0, 2, 1))
-    lhs = float(vals.real.sum() / (len(a_ops) * len(d_ops) * d))
+    rho_ac = _choi_marginal(_choi_state(u), part.a_qubits, part.c_qubits)
+    rhs = 2**part.n / (part.d_a * part.d_d) * 2.0 ** (-renyi_entropy(rho_ac, 2))
+    return _renyi2_lhs(u, part), rhs
 
-    s2 = renyi_entropy(rho_ac, 2)
-    rhs = d / (part.d_a * part.d_d) * 2.0 ** (-s2)
-    return lhs, rhs
+
+def _renyi2_lhs(u: np.ndarray, part: IoPartition) -> float:
+    """oto_renyi2_check's Pauli average, for a unitary its caller has checked."""
+    a_stack = np.stack([pauli_to_dense(p) for p in _region_paulis(part.n, part.a_qubits)])
+    d_stack = np.stack([u.conj().T @ pauli_to_dense(p) @ u
+                        for p in _region_paulis(part.n, part.d_qubits)])
+    vals = np.einsum("aij,djk,akl,dli->ad", a_stack, d_stack, dagger(a_stack), dagger(d_stack))
+    return float(vals.real.sum() / (len(a_stack) * len(d_stack) * 2**part.n))
 
 
 def renyi_k_oto(u: np.ndarray, part: IoPartition, k: int) -> tuple[float, float]:
@@ -174,7 +175,7 @@ def renyi_k_oto(u: np.ndarray, part: IoPartition, k: int) -> tuple[float, float]
                          f"> {paulialg.MAX_PAULI_TUPLES}")
     u = check_unitary(u)
     d = 2**part.n
-    rho_ac = _choi_marginal(choi_state(u), part.a_qubits, part.c_qubits)
+    rho_ac = _choi_marginal(_choi_state(u), part.a_qubits, part.c_qubits)
     a_paulis = _region_paulis(part.n, part.a_qubits)
     d_paulis = _region_paulis(part.n, part.d_qubits)
 
@@ -203,13 +204,14 @@ def mutual_info_2(u: np.ndarray, part: IoPartition, lhs: float | None = None) ->
     IdentityViolated unless it equals -log2 of the Pauli-averaged OTO
     correlator within 1e-10. `lhs` is that average when the caller already
     has it from oto_renyi2_check(u, part); otherwise it is computed here."""
-    state = choi_state(u)
+    u = check_unitary(u)
+    state = _choi_state(u)
     s_a = renyi_entropy(_choi_marginal(state, part.a_qubits, ()), 2)
     s_bd = renyi_entropy(_choi_marginal(state, part.b_qubits, part.d_qubits), 2)
     s_abd = renyi_entropy(_choi_marginal(state, range(part.n), part.d_qubits), 2)
     info = s_a + s_bd - s_abd
     if lhs is None:
-        lhs, _ = oto_renyi2_check(u, part)
+        lhs = _renyi2_lhs(u, part)
     if abs(info - (-math.log2(lhs))) > 1e-10:
         raise IdentityViolated(
             f"Renyi-2 identity violated: I2 = {info}, -log2(avg) = {-math.log2(lhs)}")

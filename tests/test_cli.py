@@ -238,8 +238,10 @@ class TestScrambleCommand:
 
     @pytest.mark.parametrize("k", ["2", "3"])
     def test_renyi2_pauli_sum_runs_once(self, capsys, monkeypatch, k):
-        real, calls = cli.scrambling.oto_renyi2_check, []
-        monkeypatch.setattr(cli.scrambling, "oto_renyi2_check",
+        # the sum lives in _renyi2_lhs, which oto_renyi2_check and
+        # mutual_info_2 both call
+        real, calls = cli.scrambling._renyi2_lhs, []
+        monkeypatch.setattr(cli.scrambling, "_renyi2_lhs",
                             lambda u, part: calls.append(1) or real(u, part))
         code, out = run(capsys, "scramble", "--unitary", "haar", "--n", "3", "--k", k,
                         "--partition", "A=0;D=2", "--seed", "5", "--check")

@@ -77,11 +77,36 @@ class TestPauliToDense:
 
     def test_random_words_at_larger_n(self):
         rng = np.random.default_rng(4)
-        for n in (4, 5, 6):
+        for n in (4, 5, 6, 7, 8):
             for _ in range(20):
                 p = paulialg.random_pauli(n, rng)
                 q = paulialg.PauliString(n, p.x, p.z, int(rng.integers(4)))
                 assert dm.pauli_to_dense(q).tobytes() == kron_chain(q).tobytes(), q
+
+    def test_dense_guard_before_building(self):
+        # 2^13 sides: the matrix would be 1 GiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="dense guard exceeded"):
+                dm.pauli_to_dense(from_label("X" * 13))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_correlator_guard_before_the_unitary_check(self, monkeypatch):
+        for module in (dm, otolab):
+            monkeypatch.setattr(module, "DENSE_GUARD", 2)
+
+        def check_unitary(u):
+            raise AssertionError("the unitary was checked before the dense guard")
+        monkeypatch.setattr(otolab, "check_unitary", check_unitary)
+        x = from_label("XI")
+        with pytest.raises(ValueError, match="dense guard exceeded"):
+            otolab.oto_correlator(np.eye(4), OtoSpec((x,), (x,)))
+        # no product either: an element that is never read cannot fail
+        with pytest.raises(ValueError, match="dense guard exceeded"):
+            otolab.tabled_correlator(object(), [x], [x])
 
 
 class TestHaarUnitary:
@@ -203,6 +228,24 @@ class TestStackedDraws:
             stack = dm.brickwork_ensemble(n, depth).sampler(stacked_rng, size)
             assert stack.tobytes() == singles.tobytes()
             assert stacked_rng.bit_generator.state == single_rng.bit_generator.state
+
+    # a CHUNK_BYTES of 1 leaves only the floor of a gate group: a sub-stack
+    # (4 circuits at n = 6) per worker where the pool assembles them, one
+    # circuit inline (n = 3); the groups keep the oracle's bits
+    @pytest.mark.parametrize("n,depth,workers,group", [(6, 2, 2, 8), (6, 2, 3, 12),
+                                                       (3, 3, 2, 1)])
+    def test_brickwork_gate_groups(self, monkeypatch, n, depth, workers, group):
+        monkeypatch.setattr(dm, "CHUNK_BYTES", 1)
+        monkeypatch.setattr(dm, "_workers", lambda: workers)
+        real, sizes = dm.haar_unitary, []
+        monkeypatch.setattr(dm, "haar_unitary",
+                            lambda d, rng, size=(): sizes.append(size) or real(d, rng, size))
+        size = 2 * group + 1
+        stack = dm.brickwork_ensemble(n, depth).sampler(np.random.default_rng(n), size)
+        assert [s[0] for s in sizes] == [group, group, 1]
+        single_rng = np.random.default_rng(n)
+        singles = np.stack([brickwork_circuit(n, depth, single_rng) for _ in range(size)])
+        assert stack.tobytes() == singles.tobytes()
 
 
 class TestBlockProduct:
@@ -575,6 +618,22 @@ class TestWorkingSet:
             tracemalloc.stop()
         assert peak < 6 * 2**22
         assert seconds < 1.0
+
+    def test_deep_brickwork_draw_is_a_few_chunks(self):
+        # n = 2, depth 8192: 4096 gates, 1 MiB, a circuit. A 64-circuit draw
+        # takes the gates of 4 circuits (CHUNK_BYTES) at a time, not 64 MiB
+        # at once; the peak is that stack and its Haar draw's temporaries
+        ens = dm.brickwork_ensemble(2, 8192)
+        tracemalloc.start()
+        try:
+            stack = ens.sampler(np.random.default_rng(3), 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * dm.CHUNK_BYTES
+        rng = np.random.default_rng(3)
+        singles = np.concatenate([ens.sampler(rng, 1) for _ in range(64)])
+        assert stack.tobytes() == singles.tobytes()
 
 
 @pytest.mark.skipif(dm._openblas_threads() is None,

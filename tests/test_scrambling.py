@@ -7,7 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from designlab import cli
 from designlab import densemat as dm
+from designlab import framepot as fp
 from designlab import otolab, paulialg
 from designlab import scrambling as sc
 from designlab.paulialg import from_label
@@ -329,3 +331,87 @@ class TestCatchGame:
         # U (x) U* at n = 7 has side 16384: 4 GiB if it were built
         with pytest.raises(ValueError, match="dense guard exceeded"):
             sc.catch_game(np.eye(128), {paulialg.identity(7): 1.0})
+
+
+def counted(monkeypatch, owner, name, modules=()):
+    """A list that gains one entry per call of owner.name, also when it is
+    called through its imported name in any of `modules`."""
+    real, calls = getattr(owner, name), []
+
+    def count(*args):
+        calls.append(1)
+        return real(*args)
+    for module in (owner, *modules):
+        monkeypatch.setattr(module, name, count)
+    return calls
+
+
+def scramble(capsys, k):
+    code = cli.main(["scramble", "--unitary", "haar", "--n", "3", "--k", str(k),
+                     "--partition", "A=0;D=2", "--seed", "1", "--check"])
+    assert code == 0 and '"passed": true' in capsys.readouterr().out
+
+
+class TestOneCheckPerCall:
+    U = dm.haar_unitary(8, np.random.default_rng(40))
+    PART = sc.IoPartition(3, (0,), (2,))
+    X = paulialg.single_site(3, 0, "X")
+    PUBLIC = {
+        "choi_state": lambda u: sc.choi_state(u),
+        "oto_renyi2_check": lambda u: sc.oto_renyi2_check(u, TestOneCheckPerCall.PART),
+        "renyi_k_oto": lambda u: sc.renyi_k_oto(u, TestOneCheckPerCall.PART, 3),
+        "mutual_info_2": lambda u: sc.mutual_info_2(u, TestOneCheckPerCall.PART),
+        "catch_game": lambda u: sc.catch_game(u, {paulialg.identity(3): 1.0}),
+        "oto_correlator": lambda u: otolab.oto_correlator(
+            u, otolab.OtoSpec((TestOneCheckPerCall.X,), (TestOneCheckPerCall.X,))),
+        "restricted_average_commutator": lambda u: otolab.restricted_average_commutator(
+            u, (TestOneCheckPerCall.X,)),
+    }
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        return counted(monkeypatch, dm, "check_unitary", (sc, otolab, fp))
+
+    @pytest.mark.parametrize("name", sorted(PUBLIC))
+    def test_each_public_call_checks_once(self, checks, name):
+        self.PUBLIC[name](self.U)
+        assert len(checks) == 1
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_scramble_checks_once_per_public_call(self, checks, capsys, k):
+        # was 3 (k = 2) and 6 (k = 3): the Renyi check, then mutual_info_2
+        scramble(capsys, k)
+        assert len(checks) == 2
+
+    def test_every_chunk_of_an_average_is_checked(self, checks):
+        # 130 draws at d = 4: chunks of 64, 64 and 2
+        spec = otolab.OtoSpec((paulialg.single_site(2, 0, "X"),), (paulialg.single_site(2, 1, "Z"),))
+        otolab.oto_ensemble_average(dm.haar_ensemble(4, seed=2), spec, 130)
+        assert len(checks) == 3
+
+    def test_every_dense_element_of_the_oto_route_is_checked(self, checks):
+        hadamard = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+        ens = dm.Ensemble("two", 2, weights=(0.5, 0.5), elements=(np.eye(2), hadamard))
+        fp.frame_potential_via_oto(ens, 1)
+        assert len(checks) == 2
+        bad = dm.Ensemble("bad", 2, weights=(1.0,), elements=(1.01 * np.eye(2),))
+        with pytest.raises(ValueError, match="matrix is not unitary"):
+            fp.frame_potential_via_oto(bad, 1)
+
+
+class TestOneSpectrumPerEntropy:
+    @pytest.fixture
+    def spectra(self, monkeypatch):
+        return counted(monkeypatch, np.linalg, "eigvalsh")
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_one_eigvalsh_per_entropy(self, spectra, k):
+        sc.renyi_entropy(np.diag([0.5, 0.25, 0.25, 0.0]).astype(complex), k)
+        assert len(spectra) == 1
+
+    @pytest.mark.parametrize("k,entropies", [(2, 4), (3, 4)])
+    def test_scramble_takes_one_spectrum_per_entropy(self, spectra, capsys, k, entropies):
+        # was 8 and 10: check_state's positivity test took its own, and at
+        # k = 3 mutual_info_2 also took S2(AC) for a Renyi-2 rhs it dropped
+        scramble(capsys, k)
+        assert len(spectra) == entropies
