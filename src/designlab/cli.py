@@ -262,6 +262,8 @@ def _parse_partition(text: str, n: int) -> scrambling.IoPartition:
 
 
 def cmd_scramble(args) -> tuple[dict, bool]:
+    if args.unitary in ("haar", "identity"):  # before a d x d array is built
+        scrambling._guard_side(2**args.n)
     if args.unitary == "haar":
         u = dm.haar_unitary(2**args.n, np.random.default_rng(args.seed))
     elif args.unitary == "identity":

@@ -1,18 +1,20 @@
 """Clifford group elements as symplectic tableaux.
 
-A tableau stores the images of the 2n Pauli generators X_1..X_n, Z_1..Z_n
-under conjugation P -> C^dag P C (Heisenberg picture), each image a
-PauliString with a +/- sign. The bit part of the images forms a 2n x 2n
-symplectic matrix over GF(2), held as 2n packed int rows (paulialg.to_row)
-and reduced with XOR and row_product, so the tableau algebra uses no numpy;
-the sign part is 2n bits.
+A tableau holds the images of the 2n Pauli generators X_1..X_n, Z_1..Z_n
+under conjugation P -> C^dag P C (Heisenberg picture) as the standard
+2n bit rows plus 2n sign bits (Aaronson & Gottesman, quant-ph/0406196):
+row r is the packed GF(2) row x << n | z (paulialg.to_row) of image r, X
+images first, so the rows form a 2n x 2n symplectic matrix over GF(2),
+reduced with XOR and row_product, and the tableau algebra uses no numpy.
 
 Conjugation of arbitrary Paulis, composition, inversion, exactly uniform
 sampling, the 24-element single-qubit enumeration, exact pair traces
 |tr(A^dag B)|^2 from the GF(2) kernel of S_A xor S_B (2^dim K or 0, with
 no walk over the 4^n Paulis, so at any n), and dense unitaries (for
 n <= 5) read off the tableau's stabilizer state C^dag |0...0> all live
-here. Tableaux are immutable and operations are pure.
+here. Conjugations run on the rows and signs in paulialg's product kernel,
+so no PauliString is built per image. Tableaux are immutable and
+operations are pure.
 """
 
 from __future__ import annotations
@@ -23,52 +25,43 @@ import numpy as np
 
 from . import paulialg
 from .densemat import Ensemble, pauli_to_dense
-from .paulialg import PauliString, mul, row_product
+from .paulialg import PauliString, row_product
 
 DENSE_QUBIT_GUARD = 5
 
 
 @dataclass(frozen=True)
 class CliffordTableau:
-    """Images of X_i and Z_i under P -> C^dag P C, with signs."""
+    """Images of X_i and Z_i under P -> C^dag P C: the packed rows
+    x << n | z of the 2n images, X images first, and their sign bits
+    (1 for a - sign)."""
 
     n: int
-    x_images: tuple[PauliString, ...]
-    z_images: tuple[PauliString, ...]
+    rows: tuple[int, ...]
+    signs: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.x_images) != self.n or len(self.z_images) != self.n:
+        if len(self.rows) != 2 * self.n or len(self.signs) != 2 * self.n:
             raise ValueError("need one image per generator")
-        for img in self.x_images + self.z_images:
-            if img.n != self.n:
-                raise ValueError("image qubit count mismatch")
-            if img.phase not in (0, 2):
-                raise ValueError("generator images must be Hermitian (+/- sign)")
-
-    def rows(self) -> list[int]:
-        """The packed GF(2) rows (x | z) of the 2n images, X images first."""
-        return [paulialg.to_row(img) for img in self.x_images + self.z_images]
-
-    def phase_bits(self) -> tuple[int, ...]:
-        return tuple(img.phase // 2 for img in self.x_images + self.z_images)
+        if not all(0 <= row < 1 << 2 * self.n for row in self.rows):
+            raise ValueError("image qubit count mismatch")
+        if not all(sign in (0, 1) for sign in self.signs):
+            raise ValueError("generator images must be Hermitian (+/- sign)")
 
     def key(self) -> bytes:
-        """Canonical hashable identity (mod global phase)."""
-        return bytes(b for row in _bit_rows(self) for b in row) + bytes(self.phase_bits())
+        """Canonical hashable identity (mod global phase): the 2n x 2n bit
+        matrix row by row, top bit first, then the sign bits."""
+        bits = range(2 * self.n - 1, -1, -1)
+        return bytes(row >> b & 1 for row in self.rows for b in bits) + bytes(self.signs)
 
     def dense(self) -> np.ndarray:
         return to_dense(self)
 
 
-def _bit_rows(c: CliffordTableau) -> list[list[int]]:
-    """The 2n x 2n GF(2) matrix of c as 0/1 lists, row r the image of generator r."""
-    return [[row >> b & 1 for b in range(2 * c.n - 1, -1, -1)] for row in c.rows()]
-
-
 def is_symplectic(c: CliffordTableau) -> bool:
     """True iff the images form a symplectic basis: images r and s anticommute
     exactly when they are the pair X_i, Z_i (|r - s| = n)."""
-    rows = c.rows()
+    rows = c.rows
     return all(row_product(u, rows[s], c.n) == (s - r == c.n)
                for r, u in enumerate(rows) for s in range(r + 1, len(rows)))
 
@@ -78,66 +71,64 @@ def check_tableau(c: CliffordTableau):
         raise ValueError("tableau violates the symplectic condition")
 
 
+def _image_ints(c: CliffordTableau) -> list[tuple[int, int, int]]:
+    """The 2n generator images as the (x, z, phase) ints of paulialg's
+    product kernel, X images first."""
+    low = (1 << c.n) - 1
+    return [(row >> c.n, row & low, 2 * sign) for row, sign in zip(c.rows, c.signs)]
+
+
 def conjugate_pauli(c: CliffordTableau, p: PauliString) -> PauliString:
     """C^dag p C, exact phase included: p under the automorphism that sends
     each generator to its image in the tableau."""
     if c.n != p.n:
         raise ValueError("qubit count mismatch")
-    return paulialg.apply_images(p, c.x_images + c.z_images)
-
-
-def _image_ints(c: CliffordTableau) -> list[tuple[int, int, int]]:
-    """The 2n generator images as the (x, z, phase) ints of paulialg's
-    product kernel, X images first."""
-    return [paulialg._ints(img) for img in c.x_images + c.z_images]
+    return PauliString(p.n, *paulialg._apply(_image_ints(c), paulialg.to_row(p), p.phase, p.n))
 
 
 def identity_tableau(n: int) -> CliffordTableau:
-    xs = tuple(paulialg.single_site(n, j, "X") for j in range(n))
-    zs = tuple(paulialg.single_site(n, j, "Z") for j in range(n))
-    return CliffordTableau(n, xs, zs)
+    return CliffordTableau(n, tuple(1 << r for r in range(2 * n - 1, -1, -1)), (0,) * (2 * n))
 
 
 def hadamard_tableau(n: int, site: int) -> CliffordTableau:
-    base = identity_tableau(n)
-    xs = list(base.x_images)
-    zs = list(base.z_images)
-    xs[site] = paulialg.single_site(n, site, "Z")
-    zs[site] = paulialg.single_site(n, site, "X")
-    return CliffordTableau(n, tuple(xs), tuple(zs))
+    rows = list(identity_tableau(n).rows)
+    rows[site], rows[n + site] = rows[n + site], rows[site]
+    return CliffordTableau(n, tuple(rows), (0,) * (2 * n))
 
 
 def phase_gate_tableau(n: int, site: int) -> CliffordTableau:
     # S = diag(1, i): S^dag X S = -Y, S^dag Z S = Z
-    base = identity_tableau(n)
-    xs = list(base.x_images)
-    xs[site] = paulialg.signed(paulialg.single_site(n, site, "Y"), -1)
-    return CliffordTableau(n, tuple(xs), base.z_images)
+    rows = list(identity_tableau(n).rows)
+    rows[site] |= rows[n + site]
+    return CliffordTableau(n, tuple(rows), tuple(int(r == site) for r in range(2 * n)))
 
 
 def cz_tableau(n: int, a: int, b: int) -> CliffordTableau:
-    base = identity_tableau(n)
-    xs = list(base.x_images)
-    xs[a] = mul(paulialg.single_site(n, a, "X"), paulialg.single_site(n, b, "Z"))
-    xs[b] = mul(paulialg.single_site(n, b, "X"), paulialg.single_site(n, a, "Z"))
-    return CliffordTableau(n, tuple(xs), base.z_images)
+    # CZ X_a CZ = X_a Z_b and CZ X_b CZ = Z_a X_b, both with a + sign
+    if a == b:
+        raise ValueError("CZ needs two distinct qubits")
+    rows = list(identity_tableau(n).rows)
+    rows[a] |= rows[n + b]
+    rows[b] |= rows[n + a]
+    return CliffordTableau(n, tuple(rows), (0,) * (2 * n))
 
 
 def pauli_tableau(p: PauliString) -> CliffordTableau:
-    """A Pauli operator as a Clifford: images are generators up to sign."""
+    """A Pauli operator as a Clifford: each image is its generator, with a
+    - sign exactly when the generator anticommutes with p."""
     base = identity_tableau(p.n)
-    xs = tuple(paulialg.signed(g, paulialg.k_phase(g, p)) for g in base.x_images)
-    zs = tuple(paulialg.signed(g, paulialg.k_phase(g, p)) for g in base.z_images)
-    return CliffordTableau(p.n, xs, zs)
+    signs = tuple(row_product(row, paulialg.to_row(p), p.n) for row in base.rows)
+    return CliffordTableau(p.n, base.rows, signs)
 
 
 def compose(a: CliffordTableau, b: CliffordTableau) -> CliffordTableau:
     """Tableau of the operator product a @ b (conjugation by b after a)."""
     if a.n != b.n:
         raise ValueError("qubit count mismatch")
-    xs = tuple(conjugate_pauli(b, img) for img in a.x_images)
-    zs = tuple(conjugate_pauli(b, img) for img in a.z_images)
-    return CliffordTableau(a.n, xs, zs)
+    n, images = a.n, _image_ints(b)
+    out = [paulialg._apply(images, row, 2 * sign, n) for row, sign in zip(a.rows, a.signs)]
+    return CliffordTableau(n, tuple(x << n | z for x, z, _ in out),
+                           tuple(phase >> 1 for _, _, phase in out))
 
 
 def inverse(c: CliffordTableau) -> CliffordTableau:
@@ -145,21 +136,15 @@ def inverse(c: CliffordTableau) -> CliffordTableau:
 
     The image rows s_i form a symplectic basis, so the preimage of generator
     g_r has coefficient <g_r, s_partner(i)> on g_i, where partner swaps X_i and
-    Z_i: the symplectic inverse with no transpose.
+    Z_i: the symplectic inverse with no transpose. Pushed through c, the
+    unsigned preimage becomes +/- g_r, and that sign is the preimage's.
     """
-    n, rows, top = c.n, c.rows(), 2 * c.n - 1
-
-    def image_row(r: int) -> PauliString:
-        g = 1 << (top - r)
-        pre = sum(row_product(g, rows[(i + n) % (2 * n)], n) << (top - i)
-                  for i in range(2 * n))
-        fwd = conjugate_pauli(c, paulialg.from_row(n, pre))
-        # fwd must be +/- the generator r; cancel its phase
-        return paulialg.from_row(n, pre, (-fwd.phase) % 4)
-
-    xs = tuple(image_row(r) for r in range(n))
-    zs = tuple(image_row(n + r) for r in range(n))
-    return CliffordTableau(n, xs, zs)
+    n, top, images = c.n, 2 * c.n - 1, _image_ints(c)
+    partners = c.rows[n:] + c.rows[:n]
+    pre = tuple(sum(row_product(1 << (top - r), partner, n) << (top - i)
+                    for i, partner in enumerate(partners)) for r in range(2 * n))
+    return CliffordTableau(n, pre, tuple(paulialg._apply(images, row, 0, n)[2] >> 1
+                                         for row in pre))
 
 
 def trace_sq(c: CliffordTableau, ref: CliffordTableau | None = None) -> int:
@@ -180,7 +165,7 @@ def trace_sq(c: CliffordTableau, ref: CliffordTableau | None = None) -> int:
     images_a, images_b = _image_ints(ref), _image_ints(c)
     pivots: dict[int, tuple[int, int]] = {}  # leading bit -> (row, combination)
     dim = 0
-    for j, (row_a, row_b) in enumerate(zip(ref.rows(), c.rows())):
+    for j, (row_a, row_b) in enumerate(zip(ref.rows, c.rows)):
         row, comb = row_a ^ row_b, 1 << (2 * c.n - 1 - j)
         while row:
             lead = row.bit_length() - 1
@@ -237,9 +222,8 @@ def random_clifford(n: int, rng: np.random.Generator) -> CliffordTableau:
                 del basis[pivot]
 
     signs = rng.integers(0, 2, size=2 * n).tolist()
-    xs = tuple(paulialg.from_row(n, pairs[i][0], 2 * signs[i]) for i in range(n))
-    zs = tuple(paulialg.from_row(n, pairs[i][1], 2 * signs[n + i]) for i in range(n))
-    return CliffordTableau(n, xs, zs)
+    return CliffordTableau(n, tuple(a for a, _ in pairs) + tuple(b for _, b in pairs),
+                           tuple(signs))
 
 
 def enumerate_single_qubit() -> list[CliffordTableau]:
@@ -295,8 +279,8 @@ def to_dense(c: CliffordTableau) -> np.ndarray:
     check_tableau(c)
     d = 2**n
     proj = np.eye(d, dtype=complex)
-    for img in c.z_images:
-        proj = proj @ (np.eye(d) + pauli_to_dense(img)) / 2
+    for row, sign in zip(c.rows[n:], c.signs[n:]):
+        proj = proj @ (np.eye(d) + pauli_to_dense(paulialg.from_row(n, row, 2 * sign))) / 2
     col = proj[:, np.argmax(proj.diagonal().real)]
     v = col / np.linalg.norm(col)
     u_dag = np.stack([pauli_to_dense(conjugate_pauli(c, PauliString(n, x, 0))) @ v

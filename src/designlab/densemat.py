@@ -141,15 +141,30 @@ def check_state(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A density matrix and its ascending eigenvalues (one eigvalsh): square,
     Hermitian, unit trace and positive semidefinite, each within UNITARY_TOL
     (no eigenvalue below -UNITARY_TOL)."""
+    rho = _square_unit_trace(rho)
+    return rho, _no_negative(np.linalg.eigvalsh(rho))
+
+
+def _state_root(rho: np.ndarray, power: float) -> np.ndarray:
+    """rho^power, eigenvalues clipped at 0, from one eigh: check_state's
+    conditions and messages, its positivity test on the eigh eigenvalues."""
+    evals, vecs = np.linalg.eigh(_square_unit_trace(rho))
+    return (vecs * np.clip(_no_negative(evals), 0.0, None) ** power) @ vecs.conj().T
+
+
+def _square_unit_trace(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError("rho must be a square matrix")
     if np.max(np.abs(rho - rho.conj().T)) > UNITARY_TOL or abs(np.trace(rho) - 1) > UNITARY_TOL:
         raise ValueError("rho must be Hermitian with unit trace")
-    evals = np.linalg.eigvalsh(rho)
+    return rho
+
+
+def _no_negative(evals: np.ndarray) -> np.ndarray:
     if evals.min() < -UNITARY_TOL:
         raise ValueError("rho is not positive semidefinite")
-    return rho, evals
+    return evals
 
 
 _SIGMA = {
@@ -479,7 +494,11 @@ def pauli_ensemble(n: int) -> Ensemble:
 
 
 def pauli_x_ensemble(n: int) -> Ensemble:
-    """Uniform over the 2^n tensor products of I and X (bit-flip strings)."""
+    """Uniform over the 2^n tensor products of I and X (bit-flip strings),
+    at most the 4^MAX_ENUM_QUBITS elements of the largest Pauli table."""
+    if n > 2 * paulialg.MAX_ENUM_QUBITS:
+        raise ValueError(f"enumeration guard exceeded: 2^{n} elements "
+                         f"> 4^{paulialg.MAX_ENUM_QUBITS}")
     # qubit 0 varies fastest: element m carries X on qubit j iff bit j of m is set
     els = [paulialg.from_label("".join("IX"[m >> j & 1] for j in range(n)))
            for m in range(2**n)]

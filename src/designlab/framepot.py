@@ -19,7 +19,7 @@ import numpy as np
 
 from . import paulialg, wg
 from .cliffordgrp import CliffordTableau, trace_sq
-from .densemat import (DENSE_GUARD, Ensemble, _threads, blockwise, check_state, check_unitary,
+from .densemat import (DENSE_GUARD, Ensemble, _state_root, _threads, blockwise, check_unitary,
                        dagger, element_to_matrix, trace)
 from .estimate import Estimate
 from .otolab import tabled_correlator
@@ -198,13 +198,8 @@ def time_averaged_frame_potential(spectrum, k: int, t_max: float,
 # generalized and thermal frame potentials
 # ---------------------------------------------------------------------------
 
-def _state_root(rho: np.ndarray, k: int) -> np.ndarray:
-    evals, vecs = np.linalg.eigh(check_state(rho)[0])
-    return (vecs * np.clip(evals, 0.0, None) ** (1.0 / k)) @ vecs.conj().T
-
-
 def _generalized(ens, rho, k, variant, mc_samples) -> Estimate:
-    root = _state_root(rho, k)
+    root = _state_root(rho, 1.0 / k)
     if ens.kind == "discrete":  # convert each element once, not once per pair
         ens = replace(ens, elements=tuple(map(element_to_matrix, ens.elements)))
 

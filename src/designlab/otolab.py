@@ -30,7 +30,7 @@ import numpy as np
 
 from . import paulialg, wg
 from .cliffordgrp import CliffordTableau, conjugate_pauli
-from .densemat import (DENSE_GUARD, Ensemble, blockwise, check_state, check_unitary, dagger,
+from .densemat import (DENSE_GUARD, Ensemble, _state_root, blockwise, check_unitary, dagger,
                        element_to_matrix, pauli_to_dense, trace)
 from .estimate import Estimate
 from .paulialg import PauliString
@@ -184,14 +184,11 @@ def regulated_oto(rho: np.ndarray, u: np.ndarray, spec: OtoSpec) -> complex:
     """tr{rho^(1/2k) A_1 rho^(1/2k) B~_1 ...}: one fractional power of the
     state between every insertion. rho = I/d reduces this to the plain
     correlator exactly."""
-    rho, _ = check_state(rho)
-    d = 2**spec.n
-    if rho.shape != (d, d):
-        raise ValueError("state dimension mismatch")
-    evals, vecs = np.linalg.eigh(rho)
     a_ops, b_ops = spec.expanded()
-    k = len(a_ops)
-    root = (vecs * np.clip(evals, 0.0, None) ** (1 / (2 * k))) @ vecs.conj().T
+    root = _state_root(rho, 1 / (2 * len(a_ops)))
+    d = 2**spec.n
+    if root.shape != (d, d):
+        raise ValueError("state dimension mismatch")
     u = check_unitary(u)
     acc = np.eye(d, dtype=complex)
     for a, b in zip(a_ops, b_ops):
@@ -334,6 +331,9 @@ def channel_coefficients_direct(ens: Ensemble, b_ops, k: int,
 
     b_ops = tuple(b_ops)
     n = b_ops[0].n
+    side = 2 ** (n * len(b_ops))
+    if side > DENSE_GUARD:  # before the kron, not after it in kfold_channel_apply
+        raise ValueError(f"dense guard exceeded: B_1 (x) ... (x) B_k side {side} > {DENSE_GUARD}")
     big = pauli_to_dense(b_ops[0])
     for b in b_ops[1:]:
         big = np.kron(big, pauli_to_dense(b))

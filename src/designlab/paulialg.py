@@ -15,9 +15,10 @@ inner product is `row_product`.
 
 All products, commutators and traces are computed exactly over the integers;
 no dense matrices are built here (dense conversion lives in densemat).
-Products, traces of products and automorphism images all fold through one
-private kernel on the ints (x, z, phase), so a chain of factors builds a
-PauliString only for the value it returns.
+Products, traces of products and automorphism images (the Clifford
+conjugations of cliffordgrp, whose tableaux hold packed rows and sign bits)
+all fold through one private kernel on the ints (x, z, phase), so a chain
+of factors builds a PauliString only for the value it returns.
 Everything is immutable and side-effect free, so values are safe to share
 across workers.
 """
@@ -213,11 +214,6 @@ def supports_overlap(p: PauliString, q: PauliString) -> bool:
 def k_phase(p: PauliString, q: PauliString) -> int:
     """The sign K with q^dag p q = K p:  +1 if [p,q]=0, -1 if {p,q}=0."""
     return 1 if commutes(p, q) else -1
-
-
-def apply_images(p: PauliString, images) -> PauliString:
-    """p under the automorphism with X_j -> images[j], Z_j -> images[n + j]."""
-    return PauliString(p.n, *_apply(_checked_ints([p, *images])[1:], to_row(p), p.phase, p.n))
 
 
 def _checked_ints(factors) -> list[tuple[int, int, int]]:

@@ -77,9 +77,23 @@ class IoPartition:
         return 2 ** len(self.d_qubits)
 
 
+def _guard_side(d: int, what: str = "Choi state"):
+    """The dense guard on the d^2 side of a Choi state (an m-sided marginal
+    holds m d^2 products, d^4 if m = d^2) or of U (x) U*."""
+    if d * d > DENSE_GUARD:
+        raise ValueError(f"dense guard exceeded: {what} side d^2 = {d * d} > {DENSE_GUARD}")
+
+
+def _checked(u: np.ndarray, what: str = "Choi state") -> np.ndarray:
+    """u checked as a unitary once its d^2 side has passed the dense guard,
+    so an oversized u fails before the d^3 check."""
+    _guard_side(np.shape(u)[-1] if np.ndim(u) else 1, what)
+    return check_unitary(u)
+
+
 def choi_state(u: np.ndarray) -> ChoiState:
     """|U> = d^(-1/2) sum_ij u_ij |j>|i> = (I (x) U) |EPR>."""
-    return _choi_state(check_unitary(u))
+    return _choi_state(_checked(u))
 
 
 def _choi_state(u: np.ndarray) -> ChoiState:
@@ -88,8 +102,6 @@ def _choi_state(u: np.ndarray) -> ChoiState:
     n = d.bit_length() - 1
     if 2**n != d:
         raise ValueError("need a 2^n-dimensional unitary")
-    if d * d > DENSE_GUARD:  # an m-sided marginal holds m d^2 products, d^4 if m = d^2
-        raise ValueError(f"dense guard exceeded: Choi state side d^2 = {d * d} > {DENSE_GUARD}")
     return ChoiState(n, u.T.reshape(-1) / math.sqrt(d))
 
 
@@ -137,10 +149,10 @@ def oto_renyi2_check(u: np.ndarray, part: IoPartition) -> tuple[float, float]:
 
     lhs: average over all Pauli pairs (A on the input-A qubits, D on the
     output-D qubits, identities included) of <A D~ A+ D~+> with D~ = U+ D U.
-    rhs: (d / (d_A d_D)) 2^(-S2(rho_AC)) from the Choi state, computed
-    first so the dense guard on its d^2 side stops before the Pauli sum.
+    rhs: (d / (d_A d_D)) 2^(-S2(rho_AC)) from the Choi state, whose d^2
+    side is guarded before the unitary is checked.
     """
-    u = check_unitary(u)
+    u = _checked(u)
     rho_ac = _choi_marginal(_choi_state(u), part.a_qubits, part.c_qubits)
     rhs = 2**part.n / (part.d_a * part.d_d) * 2.0 ** (-renyi_entropy(rho_ac, 2))
     return _renyi2_lhs(u, part), rhs
@@ -173,7 +185,7 @@ def renyi_k_oto(u: np.ndarray, part: IoPartition, k: int) -> tuple[float, float]
     if tuples > paulialg.MAX_PAULI_TUPLES:
         raise ValueError(f"Pauli tuple budget exceeded: (d_A^2 d_D^2)^(k-1) = {tuples} "
                          f"> {paulialg.MAX_PAULI_TUPLES}")
-    u = check_unitary(u)
+    u = _checked(u)
     d = 2**part.n
     rho_ac = _choi_marginal(_choi_state(u), part.a_qubits, part.c_qubits)
     a_paulis = _region_paulis(part.n, part.a_qubits)
@@ -204,7 +216,7 @@ def mutual_info_2(u: np.ndarray, part: IoPartition, lhs: float | None = None) ->
     IdentityViolated unless it equals -log2 of the Pauli-averaged OTO
     correlator within 1e-10. `lhs` is that average when the caller already
     has it from oto_renyi2_check(u, part); otherwise it is computed here."""
-    u = check_unitary(u)
+    u = _checked(u)
     state = _choi_state(u)
     s_a = renyi_entropy(_choi_marginal(state, part.a_qubits, ()), 2)
     s_bd = renyi_entropy(_choi_marginal(state, part.b_qubits, part.d_qubits), 2)
@@ -223,11 +235,9 @@ def catch_game(u: np.ndarray, perturbation: dict[PauliString, float]) -> float:
     the sender apply Pauli A_i with probability p_i on her half, send both
     halves through U (x) U*, and project back onto the EPR state. Equals
     p_I for every unitary."""
-    u = check_unitary(u)
+    u = _checked(u, "catch game")
     d = u.shape[0]
     n = d.bit_length() - 1
-    if d * d > DENSE_GUARD:  # U (x) U* has side d^2
-        raise ValueError(f"dense guard exceeded: catch game side d^2 = {d * d} > {DENSE_GUARD}")
     total_p = sum(perturbation.values())
     if abs(total_p - 1.0) > 1e-10:
         raise ValueError("perturbation distribution must be normalized")

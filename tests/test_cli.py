@@ -8,6 +8,7 @@ import json
 import math
 import textwrap
 import time
+import tracemalloc
 
 import pytest
 
@@ -248,6 +249,23 @@ class TestScrambleCommand:
         assert code == 0 and json.loads(out)["passed"] is True
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("argv", ["--unitary identity --n 16", "--n 11 --seed 1",
+                                      "--unitary identity --n 11"])
+    def test_size_is_checked_before_the_unitary(self, capsys, monkeypatch, argv):
+        # these used to build (at n = 16, try to build 64 GiB) and check a
+        # d x d unitary before the Choi state's guard
+        def check_unitary(u):
+            raise AssertionError("the unitary was checked before the dense guard")
+        monkeypatch.setattr(cli.scrambling, "check_unitary", check_unitary)
+        tracemalloc.start()
+        try:
+            err = assert_config_error(capsys, "scramble", *argv.split())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "dense guard exceeded: Choi state side d^2 = " in err
+        assert peak < 2**20
+
     def test_missed_renyi2_identity_is_a_failed_check(self, capsys, monkeypatch, tmp_path):
         # the Pauli-averaged correlator is off by 1%, as a near-unitary input can make it
         real = cli.scrambling.oto_renyi2_check
@@ -360,6 +378,9 @@ class TestEdgeInputs:
         "framepot --ensemble brickwork --n 14 --k 1 --samples 10 --seed 1",
         "oto --ensemble gue-evolution --n 13 --samples 10 --seed 1",
         "scramble --n 7 --seed 1",
+        # past the largest Pauli table's 4^8 elements, which used to build 2^n Paulis
+        "framepot --ensemble pauli-x --n 17 --k 1",
+        "oto --ensemble pauli-x --n 22",
         # a k, time window or choice count that a formula divides by
         "thermal --k 0",
         "thermal --k -1",

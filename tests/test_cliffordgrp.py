@@ -143,6 +143,11 @@ class TestConjugatePauli:
         assert cg.conjugate_pauli(cz, from_label("IX")) == from_label("ZX")
         assert cg.conjugate_pauli(cz, from_label("IZ")) == from_label("IZ")
 
+    def test_cz_needs_two_qubits(self):
+        # one qubit used to fail only on a non-Hermitian image, X_a Z_a = -iY_a
+        with pytest.raises(ValueError, match="two distinct qubits"):
+            cg.cz_tableau(2, 1, 1)
+
     def test_identity_fixed(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
@@ -238,6 +243,30 @@ class TestRandomClifford:
         h.update(rng.bytes(8))
         assert h.hexdigest() == "50ccccfc402b7bcfd82f7f2c40744c0efa05d1256f45d1b3f3bfa3269dcc365c"
 
+    def test_algebra_is_pinned(self):
+        # sha256 of the keys of composed, inverted and gate tableaux and of
+        # conjugated Paulis over seeded draws, recorded while tableaux still
+        # held PauliString images: the rows and signs give the same elements
+        h = hashlib.sha256()
+        rng = np.random.default_rng(20261019)
+        for n, draws in ((1, 24), (2, 20), (3, 15), (5, 8), (20, 2)):
+            for _ in range(draws):
+                a, b = cg.random_clifford(n, rng), cg.random_clifford(n, rng)
+                p = dataclasses.replace(paulialg.random_pauli(n, rng), phase=int(rng.integers(4)))
+                site = int(rng.integers(n))
+                gates = [cg.pauli_tableau(p), cg.hadamard_tableau(n, site),
+                         cg.phase_gate_tableau(n, site)]
+                if n > 1:
+                    gates.append(cg.cz_tableau(n, site, (site + 1) % n))
+                for t in [cg.compose(a, b), cg.inverse(a), *gates,
+                          *(cg.compose(a, g) for g in gates)]:
+                    h.update(t.key())
+                for c in (a, cg.compose(a, b)):
+                    img = cg.conjugate_pauli(c, p)
+                    h.update(b"%d;%d;%d;" % (img.x, img.z, img.phase))
+        h.update(rng.bytes(8))
+        assert h.hexdigest() == "603b6e0afe9fc87cccff260e03feb67253a31394d286b53dc05743d0a5e6f55f"
+
     def test_seed_determinism(self):
         a = [cg.random_clifford(3, np.random.default_rng(11)).key() for _ in range(5)]
         b = [cg.random_clifford(3, np.random.default_rng(11)).key() for _ in range(5)]
@@ -309,9 +338,27 @@ class TestToDense:
         (("I",), ("Z",)),            # X sent to the identity
     ])
     def test_non_symplectic_tableau_is_rejected(self, xs, zs):
-        c = cg.CliffordTableau(len(xs), tuple(map(from_label, xs)), tuple(map(from_label, zs)))
+        rows = tuple(paulialg.to_row(from_label(label)) for label in xs + zs)
+        c = cg.CliffordTableau(len(xs), rows, (0,) * len(rows))
         with pytest.raises(ValueError, match="symplectic"):
             cg.to_dense(c)
+
+
+class TestConstructor:
+    def test_identity_rows_and_signs(self):
+        c = cg.identity_tableau(2)
+        assert c.rows == (0b1000, 0b0100, 0b0010, 0b0001) and c.signs == (0, 0, 0, 0)
+
+    @pytest.mark.parametrize("rows,signs,message", [
+        ((0b10,), (0, 0), "one image per generator"),
+        ((0b10, 0b01), (0,), "one image per generator"),
+        ((0b10, 0b100), (0, 0), "qubit count mismatch"),  # a row >= 4^n
+        ((0b10, -1), (0, 0), "qubit count mismatch"),
+        ((0b10, 0b01), (0, 2), "Hermitian"),
+    ])
+    def test_rejects_malformed_tableaux(self, rows, signs, message):
+        with pytest.raises(ValueError, match=message):
+            cg.CliffordTableau(1, rows, signs)
 
 
 class TestGroupStructure:

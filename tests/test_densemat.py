@@ -330,6 +330,7 @@ class TestEvolve:
 STATE_CALLERS = {
     "regulated_oto": lambda rho: otolab.regulated_oto(rho, np.eye(2), OtoSpec((Z,), (Z,))),
     "generalized_F": lambda rho: fp.generalized_F(dm.trivial_ensemble(1), rho, 1),
+    "generalized_G": lambda rho: fp.generalized_G(dm.trivial_ensemble(1), rho, 2),
     "renyi_entropy": lambda rho: sc.renyi_entropy(rho, 2),
 }
 
@@ -347,6 +348,17 @@ class TestCheckState:
                            (np.ones((2, 3)) / 2, "square")]:
             with pytest.raises(ValueError, match=match):
                 call(bad.astype(complex))
+
+    @pytest.mark.parametrize("caller", ["generalized_F", "generalized_G", "regulated_oto"])
+    def test_a_state_root_takes_one_eigh(self, monkeypatch, caller):
+        # its positivity test reads the eigh eigenvalues: no eigvalsh besides
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda a, real=real, name=name: calls.append(name) or real(a))
+        STATE_CALLERS[caller](np.diag([0.75, 0.25]).astype(complex))
+        assert calls == ["eigh"]
 
 
 class TestPermutationOperator:
@@ -802,6 +814,13 @@ class TestEnsembles:
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
         c = ens.sample_block(5, 3, block=1)
         assert not np.array_equal(a[0], c[0])
+
+    def test_pauli_x_elements_fit_the_largest_pauli_table(self, monkeypatch):
+        # 2^n elements, at most the 4^MAX_ENUM_QUBITS that enumerate_paulis allows
+        monkeypatch.setattr(paulialg, "MAX_ENUM_QUBITS", 1)
+        assert len(dm.pauli_x_ensemble(2).elements) == 4
+        with pytest.raises(ValueError, match="enumeration guard exceeded: 2\\^3 elements > 4\\^1"):
+            dm.pauli_x_ensemble(3)
 
     def test_pauli_x_order(self):
         # element m carries X on qubit j iff bit j of m is set

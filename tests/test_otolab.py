@@ -2,6 +2,7 @@
 reconstruction, and the closed-form prediction table."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -430,6 +431,22 @@ class TestReconstruction:
             direct = otolab.channel_coefficients_direct(ens, b_ops, k).gamma
             for key in direct:
                 assert rec[key] == pytest.approx(direct[key], abs=1e-10)
+
+    def test_direct_guard_before_the_kron(self, monkeypatch):
+        # the kron of the B's has side d^k = 1024, past a guard of 512; its
+        # 16 MiB used to be built before kfold_channel_apply's guard saw it
+        ens = dm.pauli_ensemble(5)
+        x0 = single_site(5, 0, "X")
+        for module in (dm, otolab):
+            monkeypatch.setattr(module, "DENSE_GUARD", 512)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="dense guard exceeded"):
+                otolab.channel_coefficients_direct(ens, (x0, x0), 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_haar_channel_supported_on_permutations(self):
         # gamma from the Haar reference reassembles into span{W_pi}

@@ -383,6 +383,22 @@ class TestOneCheckPerCall:
         scramble(capsys, k)
         assert len(checks) == 2
 
+    @pytest.mark.parametrize("name", ["catch_game", "choi_state", "mutual_info_2",
+                                      "oto_renyi2_check", "renyi_k_oto"])
+    def test_dense_guard_before_the_unitary_check(self, monkeypatch, name):
+        # n = 7: each d^2 side is 16384, past DENSE_GUARD, so no d^3 check runs
+        def check_unitary(u):
+            raise AssertionError("the unitary was checked before the dense guard")
+        monkeypatch.setattr(sc, "check_unitary", check_unitary)
+        part = sc.IoPartition(7, (0,), (6,))
+        call = {"choi_state": lambda u: sc.choi_state(u),
+                "oto_renyi2_check": lambda u: sc.oto_renyi2_check(u, part),
+                "renyi_k_oto": lambda u: sc.renyi_k_oto(u, part, 3),
+                "mutual_info_2": lambda u: sc.mutual_info_2(u, part),
+                "catch_game": lambda u: sc.catch_game(u, {paulialg.identity(7): 1.0})}[name]
+        with pytest.raises(ValueError, match="dense guard exceeded"):
+            call(np.eye(2**7))
+
     def test_every_chunk_of_an_average_is_checked(self, checks):
         # 130 draws at d = 4: chunks of 64, 64 and 2
         spec = otolab.OtoSpec((paulialg.single_site(2, 0, "X"),), (paulialg.single_site(2, 1, "Z"),))
