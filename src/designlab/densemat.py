@@ -443,17 +443,22 @@ class Ensemble:
         when pairs=True.
 
         Discrete ensembles give the exact weighted sum (pair weights
-        w_i * w_j, i-major), calling f on one element (pair) at a time; f may
-        return arrays. Samplers give `mc_estimate` of mc_samples values: f is
-        called on each chunk of the stream (a stack or a list of draws, or
-        the chunk's even and odd draws for pairs, so pair i is draws 2i and
-        2i+1) and returns one value per draw (pair). A chunk and its views
-        are dropped before the next one is drawn, so the average holds one
-        chunk and the sampler's or f's temporaries (about 5 chunks while a
-        Haar chunk is drawn), plus the values.
+        w_i * w_j, i-major, at most paulialg.MAX_EXACT_PAIRS pairs), calling
+        f on one element (pair) at a time; f may return arrays. Samplers give
+        `mc_estimate` of mc_samples values: f is called on each chunk of the
+        stream (a stack or a list of draws, or the chunk's even and odd draws
+        for pairs, so pair i is draws 2i and 2i+1) and returns one value per
+        draw (pair). A chunk and its views are dropped before the next one is
+        drawn, so the average holds one chunk and the sampler's or f's
+        temporaries (about 5 chunks while a Haar chunk is drawn), plus the
+        values.
         """
         if self.kind == "discrete":
+            n = len(self.elements)
             if pairs:
+                if n * n > paulialg.MAX_EXACT_PAIRS:
+                    raise ValueError(f"enumeration guard exceeded: {n}^2 pairs "
+                                     f"> {paulialg.MAX_EXACT_PAIRS}")
                 terms = ((wa * wb) * f(a, b) for wa, a in zip(self.weights, self.elements)
                          for wb, b in zip(self.weights, self.elements))
             else:
@@ -461,7 +466,6 @@ class Ensemble:
             total = 0
             for term in terms:
                 total += term
-            n = len(self.elements)
             return Estimate(total, 0.0, n * n if pairs else n, method="exact")
         check_mc_samples(mc_samples)
         seed = self.resolve_seed()
@@ -550,6 +554,16 @@ def _apply_on(a: np.ndarray, u: np.ndarray, q0: int) -> np.ndarray:
     return np.matmul(a[:, None], u.reshape(m, 2**q0, s, -1)).reshape(u.shape)
 
 
+def _kron_gate(g: np.ndarray, gate: np.ndarray) -> np.ndarray:
+    """g (x) gate for each pair of an (m, s, s) stack g and an (m, 4, 4)
+    stack of gates: every entry gate[i, j] * g[a, b] is one product of a
+    zgemm with inner dimension 1, rounded as the zgemm that applies the gate
+    to g (x) I rounds it, then moved into kron layout."""
+    m, s = g.shape[:2]
+    out = np.matmul(gate.reshape(m, 16, 1), g.reshape(m, 1, s * s))
+    return out.reshape(m, 4, 4, s, s).transpose(0, 3, 1, 4, 2).reshape(m, 4 * s, 4 * s)
+
+
 def brickwork_ensemble(n: int, depth: int, seed: int | None = None) -> Ensemble:
     """Brickwork random circuit on n qubits: alternating even/odd
     nearest-neighbour pairings (open boundary), each layer made of fresh
@@ -561,21 +575,22 @@ def brickwork_ensemble(n: int, depth: int, seed: int | None = None) -> Ensemble:
     of a sub-stack per pool worker: a stack is the one-at-a-time draws, so the
     grouping keeps the bits. Circuits are assembled in sub-stacks of at most
     MC_CHUNK // 4 circuits and ASSEMBLY_BYTES. A layer whose gates cover the w
-    qubits from qubit q0 on is a 2^w-sided matrix G: its first gate written
-    into zeros as g (x) I, then each later gate applied to G with inner
-    dimension 4 (`_apply_on`). G is applied to the circuit with inner
-    dimension 2^w; only the first layer is written into zeros instead, as
-    G (x) I. Once ASSEMBLY_BYTES sets the sub-stack size (d >= 64), the
-    sub-stacks run on the worker threads with OpenBLAS pinned to one thread
-    (`_Threads`); below that a zgemm is too short to gain from the pool, and
-    they run inline.
+    qubits from qubit q0 on is a 2^w-sided matrix G, the Kronecker product of
+    its gates, grown 4 -> 16 -> 64 wide one gate at a time (`_kron_gate`). G
+    is applied to the circuit with inner dimension 2^w (`_apply_on`); only
+    the first layer is written into zeros instead, as G (x) I. Once
+    ASSEMBLY_BYTES sets the sub-stack size (d >= 64), the sub-stacks run on
+    the worker threads with OpenBLAS pinned to one thread (`_Threads`); below
+    that a zgemm is too short to gain from the pool, and they run inline.
 
     Each product sums the nonzero terms of the 2^n-sided zgemm that a
     circuit-at-a-time loop of `kron` embeddings would make, in the same
     order: OpenBLAS sums each entry in ascending inner index, and the zeros
-    of I (x) G (x) I add exact zeros. So the draws are that loop's bit for
-    bit on any number of threads
-    (`tests/test_densemat.py::TestBlockProduct` checks the identity).
+    of I (x) G (x) I add exact zeros. An entry of G is one product, which
+    the inner-dimension-1 zgemm of `_kron_gate` rounds as that loop's zgemm
+    rounds its one nonzero term. So the draws are that loop's bit for bit
+    on any number of threads (`tests/test_densemat.py::TestBlockProduct`
+    checks both identities).
     """
     if n < 2:
         raise ValueError("brickwork needs at least 2 qubits")
@@ -606,9 +621,9 @@ def brickwork_ensemble(n: int, depth: int, seed: int | None = None) -> Ensemble:
                 q0, w = spans[layer % 2]
                 if not w:
                     continue
-                g = _beside_identity(next(gates), 2 ** (w - 2))
-                for b in range(2, w, 2):
-                    g = _apply_on(next(gates), g, b)
+                g = next(gates)
+                for _ in range(w // 2 - 1):
+                    g = _kron_gate(g, next(gates))
                 u = _beside_identity(g, 2 ** (n - w)) if u is None else _apply_on(g, u, q0)
             out[lo:lo + len(sub)] = u
 

@@ -36,6 +36,9 @@ _LABELS = "IXZY"
 MAX_ENUM_QUBITS = 8
 # Budget on the Pauli tuples one exact Pauli-summed identity may walk.
 MAX_PAULI_TUPLES = 65536
+# Budget on the ordered pairs one exact pair sum over a discrete ensemble may
+# walk, about 0.4 s: the 4^4 Paulis at n = 4, the 2^8 bit-flip strings at n = 8.
+MAX_EXACT_PAIRS = 65536
 
 
 @dataclass(frozen=True)

@@ -129,6 +129,24 @@ class TestFramepotCommand:
             assert code == 0
         assert best < 0.5
 
+    @pytest.mark.parametrize("argv", ["framepot --ensemble pauli --n 6 --k 1",
+                                      "framepot --ensemble pauli-x --n 12 --k 1"])
+    def test_exact_pair_sum_past_the_budget(self, capsys, argv):
+        # 4096^2 pairs: these ran for a minute or more before the pair budget
+        start = time.perf_counter()
+        err = assert_config_error(capsys, *argv.split())
+        assert time.perf_counter() - start < 1
+        assert err == "error: enumeration guard exceeded: 4096^2 pairs > 65536\n"
+
+    @pytest.mark.parametrize("ensemble,n,value", [("pauli", 4, 1.0), ("pauli-x", 8, 256.0)])
+    def test_largest_exact_pair_sum_in_the_budget(self, capsys, ensemble, n, value):
+        # 65536 pairs each, MAX_EXACT_PAIRS: a 1-design's F^(1) is 1, and the
+        # bit-flip strings give d^2 / 2^n = 2^n
+        code, out = run(capsys, "framepot", "--ensemble", ensemble, "--n", str(n), "--k", "1")
+        assert code == 0
+        report = json.loads(out)
+        assert (report["value"], report["method"]) == (value, "exact")
+
     def test_reports_are_byte_identical(self, capsys):
         argv = ("framepot", "--ensemble", "haar", "--n", "1", "--k", "1",
                 "--samples", "500", "--seed", "42")
@@ -532,9 +550,11 @@ class TestGoldenReports:
     two before Clifford pair traces moved to the GF(2) kernel, the next three
     before brickwork circuits were assembled as stacks, the next eight before
     Pauli products and Clifford conjugations moved to packed ints, the next
-    two before the tau grid of timeavg was spread over threads, the last two
+    two before the tau grid of timeavg was spread over threads, the next two
     before thermal_W averaged through Ensemble.average (the second crosses a
-    64-draw chunk boundary). Every seeded report stays byte-identical."""
+    64-draw chunk boundary), the last two before brickwork layers were built
+    as the kron of their gates (n = 6: pooled d = 64 sub-stacks, the
+    benchmark's size). Every seeded report stays byte-identical."""
 
     @pytest.mark.parametrize("argv,sha256", [
         ("framepot --ensemble haar --n 2 --k 2 --samples 2000 --seed 1",
@@ -583,6 +603,10 @@ class TestGoldenReports:
          "94f968ec36cace3c34f7879a3981a9043014a3799487e8206c7f02181516491c"),
         ("thermal --n 3 --beta 50 --t 0.9 --k 2 --samples 70 --seed 75",
          "c6689021f5a0784e322cb09f4c8fff65238504836a30ccc9dc5c0845cc5909a0"),
+        ("framepot --ensemble brickwork --n 6 --depth 6 --k 2 --samples 300 --seed 1",
+         "bd1e5a6c8a1a20494e665c840db54d87f6cf062a8058ebfa24274c8b4de2b6fb"),
+        ("framepot --ensemble brickwork --n 6 --depth 6 --k 2 --samples 300 --seed 2",
+         "539cdf0b425ce14c1c5aea4092f38d6a81544b8247c3f8a7accbaca74906a0c4"),
     ])
     def test_report_bytes(self, capsys, argv, sha256):
         code, out = run(capsys, *argv.split())

@@ -1,5 +1,6 @@
 """Tests for dense sampling, tensor algebra, channels and ensembles."""
 
+import contextlib
 import math
 import time
 import tracemalloc
@@ -208,12 +209,12 @@ class TestStackedDraws:
     # the brickwork sampler draws a chunk's gates in one stack and assembles
     # sub-stacks of at most 16 circuits and ASSEMBLY_BYTES (16 inline at
     # n = 5; 4 at n = 6, 1 at n = 7 and n = 8 on the pool) with 1, 2 or 3
-    # workers. Each layer is a 2^w-sided matrix built gate by gate with
-    # inner dimension 4, and it multiplies the circuit's rows with inner
-    # dimension 2^w; only the first layer is written into zeros. It must be
-    # the circuit-at-a-time oracle bit for bit, across the sub-stack
-    # boundary; at n = 4, 5 and 8 a layer covers neither qubit 0 nor qubit
-    # n - 1, or the even layer leaves qubit n - 1 idle
+    # workers. Each layer is a 2^w-sided matrix, the kron of its gates built
+    # gate by gate with inner dimension 1, and it multiplies the circuit's
+    # rows with inner dimension 2^w; only the first layer is written into
+    # zeros. It must be the circuit-at-a-time oracle bit for bit, across the
+    # sub-stack boundary; at n = 4, 5 and 8 a layer covers neither qubit 0
+    # nor qubit n - 1, or the even layer leaves qubit n - 1 idle
     @pytest.mark.parametrize("size,n,depth", [
         *((size, n, depth) for n, depth in [(2, 1), (2, 3), (3, 1), (3, 4), (4, 2), (5, 2),
                                             (5, 5), (6, 6), (7, 3)]
@@ -255,30 +256,54 @@ class TestBlockProduct:
     # kron loop's bit for bit only if the two products agree byte for byte:
     # each entry must be one FMA chain in ascending inner index, to which
     # the zeros of the embedding add exact zeros. It runs every span (q0, w)
-    # at n <= 7, which includes every span of a layer and of a gate within a
-    # layer's matrix
+    # at n <= 7, which includes every span of a layer
     @pytest.mark.parametrize("threads", ["default", "pinned"])
     @pytest.mark.parametrize("n", range(2, 8))
     def test_equals_the_embedded_product(self, n, threads):
-        pin = dm._openblas_threads() if threads == "pinned" else None
-        if threads == "pinned" and pin is None:
-            pytest.skip("numpy's BLAS exports no thread-count setter")
         rng = np.random.default_rng(n)
         d, m = 2**n, 3
         u = rng.normal(size=(m, d, d)) + 1j * rng.normal(size=(m, d, d))
         spans = [(q0, w) for w in range(2, n + 1) for q0 in range(n - w + 1)]
-        saved = pin[0]() if pin else None
-        if pin:
-            pin[1](1)
-        try:
+        with blas_threads(threads):
             for q0, w in spans:
                 g = rng.normal(size=(m, 2**w, 2**w)) + 1j * rng.normal(size=(m, 2**w, 2**w))
                 full = np.stack([np.kron(np.kron(np.eye(2**q0), g[i]), np.eye(2 ** (n - q0 - w)))
                                  @ u[i] for i in range(m)])
                 assert dm._apply_on(g, u, q0).tobytes() == full.tobytes(), (q0, w)
-        finally:
-            if pin:
-                pin[1](saved)
+
+    # a layer's matrix is the kron of its gates, each entry one product that
+    # an inner-dimension-1 zgemm rounds. It must be the gate steps it
+    # replaced byte for byte: the first gate written into zeros as g (x) I,
+    # then each later gate applied to that with inner dimension 4
+    @pytest.mark.parametrize("threads", ["default", "pinned"])
+    @pytest.mark.parametrize("m", [1, 3, 4, 16])
+    @pytest.mark.parametrize("w", [4, 6, 8])
+    def test_kron_gate_equals_the_gate_steps(self, w, m, threads):
+        gates = dm.haar_unitary(4, np.random.default_rng([w, m]), (w // 2, m))
+        with blas_threads(threads):
+            want = dm._beside_identity(gates[0], 2 ** (w - 2))
+            got = gates[0]
+            for b, gate in zip(range(2, w, 2), gates[1:]):
+                want = dm._apply_on(gate, want, b)
+                got = dm._kron_gate(got, gate)
+        assert got.tobytes() == want.tobytes()
+
+
+@contextlib.contextmanager
+def blas_threads(threads):
+    """numpy's OpenBLAS as it is ("default") or pinned to one thread ("pinned")."""
+    if threads == "default":
+        yield
+        return
+    pin = dm._openblas_threads()
+    if pin is None:
+        pytest.skip("numpy's BLAS exports no thread-count setter")
+    saved = pin[0]()
+    pin[1](1)
+    try:
+        yield
+    finally:
+        pin[1](saved)
 
 
 class TestGue:
@@ -821,6 +846,15 @@ class TestEnsembles:
         assert len(dm.pauli_x_ensemble(2).elements) == 4
         with pytest.raises(ValueError, match="enumeration guard exceeded: 2\\^3 elements > 4\\^1"):
             dm.pauli_x_ensemble(3)
+
+    def test_exact_pair_budget_comes_before_the_first_pair(self, monkeypatch):
+        monkeypatch.setattr(paulialg, "MAX_EXACT_PAIRS", 15)
+        calls = []
+        ens = dm.pauli_ensemble(1)
+        with pytest.raises(ValueError, match="enumeration guard exceeded: 4\\^2 pairs > 15"):
+            ens.average(lambda a, b: calls.append(a) or 1.0, pairs=True)
+        assert calls == []
+        assert ens.average(lambda a: 1.0).value == pytest.approx(1.0)  # single elements: no budget
 
     def test_pauli_x_order(self):
         # element m carries X on qubit j iff bit j of m is set
