@@ -20,7 +20,7 @@ import numpy as np
 from . import cliffordgrp as cg
 from . import densemat as dm
 from . import framepot as fp
-from . import otolab, paulialg, scrambling, wg
+from . import limits, otolab, paulialg, scrambling, wg
 from .otolab import OtoSpec
 
 EXIT_OK = 0
@@ -263,7 +263,7 @@ def _parse_partition(text: str, n: int) -> scrambling.IoPartition:
 
 def cmd_scramble(args) -> tuple[dict, bool]:
     if args.unitary in ("haar", "identity"):  # before a d x d array is built
-        scrambling._guard_side(2**args.n)
+        limits.check_dense(4**args.n, "Choi state side d^2 = ")
     if args.unitary == "haar":
         u = dm.haar_unitary(2**args.n, np.random.default_rng(args.seed))
     elif args.unitary == "identity":

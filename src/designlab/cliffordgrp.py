@@ -23,11 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import paulialg
+from . import limits, paulialg
 from .densemat import Ensemble, pauli_to_dense
 from .paulialg import PauliString, row_product
-
-DENSE_QUBIT_GUARD = 5
 
 
 @dataclass(frozen=True)
@@ -264,7 +262,7 @@ def clifford_ensemble(n: int, seed: int | None = None) -> Ensemble:
 
 def to_dense(c: CliffordTableau) -> np.ndarray:
     """Dense unitary of the tableau (global phase normalized so the first
-    entry of modulus above 1e-9 is real positive). Guarded at n <= 5.
+    entry of modulus above 1e-9 is real positive). Guarded at n <= limits.DENSE_QUBIT_GUARD.
 
     The tableau fixes C up to a phase through the state v = C^dag |0...0>,
     the common +1 eigenvector of the Z-images C^dag Z_j C: v is the
@@ -274,8 +272,8 @@ def to_dense(c: CliffordTableau) -> np.ndarray:
     the global phase is left free (Aaronson & Gottesman, quant-ph/0406196).
     """
     n = c.n
-    if n > DENSE_QUBIT_GUARD:
-        raise ValueError(f"dense guard exceeded: n={n} > {DENSE_QUBIT_GUARD}")
+    if n > limits.DENSE_QUBIT_GUARD:
+        raise ValueError(f"dense guard exceeded: n={n} > {limits.DENSE_QUBIT_GUARD}")
     check_tableau(c)
     d = 2**n
     proj = np.eye(d, dtype=complex)

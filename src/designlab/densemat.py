@@ -1,9 +1,9 @@
 """Dense complex linear algebra at desk scale.
 
-Unitary/Hamiltonian sampling, matrix exponentials, permutation operators,
-k-fold channel application and the ensemble abstraction. Operators are
-plain complex numpy arrays ("DenseOperator"); unitaries are arrays
-validated by `check_unitary` at construction sites.
+Unitary/Hamiltonian sampling, matrix exponentials, k-fold channel
+application and the ensemble abstraction. Operators are plain complex numpy
+arrays ("DenseOperator"); unitaries are arrays validated by `check_unitary`
+at construction sites.
 
 All samplers are reproducible: identical seeds give bitwise-identical
 outputs, and Monte-Carlo block streams derive from (seed, block index) so
@@ -50,21 +50,18 @@ from typing import Any, Callable
 
 import numpy as np
 
-from . import paulialg, wg
+from . import limits, paulialg, wg
 from .estimate import Estimate
 from .paulialg import PauliString
 
-DENSE_GUARD = 4096  # largest matrix side constructed anywhere
 UNITARY_TOL = 1e-10
 MC_CHUNK = 64  # draws per chunk of a streamed average; even, so chunks hold whole pairs
-MAX_MC_SAMPLES = 10**7  # an average holds every value, about 27 B a pair: 270 MB at the cap
 # d x d complex draws one chunk may hold: all MC_CHUNK up to d = 64, then 16
 # at d = 128, 4 at d = 256 and 2 from d = 512 on
 CHUNK_BYTES = 2**22
 # d x d complex matrices one sub-stack may hold, 4 at d = 64: a pooled
 # brickwork sub-stack (balanced time against memory), a `blockwise` block
 ASSEMBLY_BYTES = 2**18
-MAX_BRICKWORK_GATES = 4096  # gates of one brickwork circuit: 8192 layers at n = 2
 
 
 def chunk_size(d: int) -> int:
@@ -114,15 +111,6 @@ def check_hermitian(h: np.ndarray) -> np.ndarray:
     if np.max(np.abs(h - dagger(h))) > UNITARY_TOL:
         raise ValueError("matrix is not Hermitian")
     return h
-
-
-def check_mc_samples(mc_samples: int | None) -> int:
-    """At least 2 Monte-Carlo samples, so a ddof=1 standard error exists, and
-    at most MAX_MC_SAMPLES, so the values an average holds fit in memory."""
-    if mc_samples is None or not 2 <= mc_samples <= MAX_MC_SAMPLES:
-        raise ValueError(f"Monte-Carlo estimates need mc_samples >= 2 and <= {MAX_MC_SAMPLES}, "
-                         f"got {mc_samples}")
-    return mc_samples
 
 
 def mc_estimate(vals: np.ndarray, seed: int | None) -> Estimate:
@@ -180,8 +168,7 @@ def pauli_to_dense(p: PauliString) -> np.ndarray:
     kron chain of its letters' matrices, byte for byte (Z (x) I holds -0.0):
     each letter's 2 x 2 matrix multiplies the matrix so far by broadcasting,
     the products np.kron forms. The dense guard comes before any of them."""
-    if 2**p.n > DENSE_GUARD:
-        raise ValueError(f"dense guard exceeded: d={2**p.n} > {DENSE_GUARD}")
+    limits.check_dense(2**p.n)
     m = np.ones((1, 1), dtype=complex)
     for letter in p.letters():
         m = (m[:, None, :, None] * _SIGMA[letter][None, :, None, :]).reshape(2 * len(m), -1)
@@ -289,10 +276,7 @@ def haar_unitary(d: int, rng: np.random.Generator, size=()) -> np.ndarray:
     """Haar-random d x d unitary, or a (*size, d, d) stack of them: QR of a
     complex Ginibre matrix with the R-diagonal phases folded into Q so the
     distribution is exactly Haar (Mezzadri, math-ph/0609050)."""
-    if d < 1:
-        raise ValueError("d must be positive")
-    if d > DENSE_GUARD:
-        raise ValueError(f"dense guard exceeded: d={d} > {DENSE_GUARD}")
+    limits.check_dense(d)
     shape = _shape(size)
     state = rng.bit_generator.state if shape else None
     q, diag = _ginibre_qr(d, rng, shape)
@@ -311,10 +295,7 @@ def haar_unitary(d: int, rng: np.random.Generator, size=()) -> np.ndarray:
 def gue_hamiltonian(d: int, rng: np.random.Generator, size=()) -> np.ndarray:
     """GUE draw, or a (*size, d, d) stack of them, Hermitian by construction,
     normalized so E[tr H^2] = d."""
-    if d < 1:
-        raise ValueError("d must be positive")
-    if d > DENSE_GUARD:
-        raise ValueError(f"dense guard exceeded: d={d} > {DENSE_GUARD}")
+    limits.check_dense(d)
     z = rng.normal(size=_shape(size) + (2, d, d))
     g = z[..., 0, :, :] / np.sqrt(2) + 1j * z[..., 1, :, :] / np.sqrt(2)
     h = (g + dagger(g)) / 2
@@ -326,20 +307,6 @@ def evolve(h: np.ndarray, t: float) -> np.ndarray:
     h = check_hermitian(h)
     evals, vecs = np.linalg.eigh(h)
     return (vecs * np.exp(-1j * evals * t)[..., None, :]) @ dagger(vecs)
-
-
-# ---------------------------------------------------------------------------
-# tensor algebra
-# ---------------------------------------------------------------------------
-
-def permutation_operator(perm: tuple[int, ...], d: int) -> np.ndarray:
-    """Dense W_perm on (C^d)^(x)k, moving the factor in slot j to slot
-    perm(j); satisfies W_sigma @ W_tau == W_{sigma tau} exactly."""
-    if d ** len(perm) > DENSE_GUARD:
-        raise ValueError("dense guard exceeded")
-    if sorted(perm) != list(range(len(perm))):
-        raise ValueError("not a permutation")
-    return wg.permutation_matrix(tuple(perm), d)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +410,7 @@ class Ensemble:
         when pairs=True.
 
         Discrete ensembles give the exact weighted sum (pair weights
-        w_i * w_j, i-major, at most paulialg.MAX_EXACT_PAIRS pairs), calling
+        w_i * w_j, i-major, at most limits.MAX_EXACT_PAIRS pairs), calling
         f on one element (pair) at a time; f may return arrays. Samplers give
         `mc_estimate` of mc_samples values: f is called on each chunk of the
         stream (a stack or a list of draws, or the chunk's even and odd draws
@@ -456,9 +423,8 @@ class Ensemble:
         if self.kind == "discrete":
             n = len(self.elements)
             if pairs:
-                if n * n > paulialg.MAX_EXACT_PAIRS:
-                    raise ValueError(f"enumeration guard exceeded: {n}^2 pairs "
-                                     f"> {paulialg.MAX_EXACT_PAIRS}")
+                limits.check_budget(n * n, limits.MAX_EXACT_PAIRS,
+                                    f"{n}^2 pairs > {limits.MAX_EXACT_PAIRS}")
                 terms = ((wa * wb) * f(a, b) for wa, a in zip(self.weights, self.elements)
                          for wb, b in zip(self.weights, self.elements))
             else:
@@ -467,7 +433,7 @@ class Ensemble:
             for term in terms:
                 total += term
             return Estimate(total, 0.0, n * n if pairs else n, method="exact")
-        check_mc_samples(mc_samples)
+        limits.check_mc_samples(mc_samples)
         seed = self.resolve_seed()
         # closed here, not when the generator is collected: a traceback
         # would keep it, and its threads and pin, alive
@@ -500,14 +466,16 @@ def pauli_ensemble(n: int) -> Ensemble:
 def pauli_x_ensemble(n: int) -> Ensemble:
     """Uniform over the 2^n tensor products of I and X (bit-flip strings),
     at most the 4^MAX_ENUM_QUBITS elements of the largest Pauli table."""
-    if n > 2 * paulialg.MAX_ENUM_QUBITS:
-        raise ValueError(f"enumeration guard exceeded: 2^{n} elements "
-                         f"> 4^{paulialg.MAX_ENUM_QUBITS}")
-    # qubit 0 varies fastest: element m carries X on qubit j iff bit j of m is set
-    els = [paulialg.from_label("".join("IX"[m >> j & 1] for j in range(n)))
-           for m in range(2**n)]
+    limits.check_budget(n, 2 * limits.MAX_ENUM_QUBITS,
+                        f"2^{n} elements > 4^{limits.MAX_ENUM_QUBITS}")
+    # qubit 0 varies fastest: element m carries X on qubit j iff bit j of m is
+    # set, bit 2n-1-j of its packed row
+    rows = [0]
+    for j in range(n):
+        rows += [row | 1 << (2 * n - 1 - j) for row in rows]
+    els = tuple(paulialg.from_row(n, row) for row in rows)
     w = (1.0 / len(els),) * len(els)
-    return Ensemble("pauli-x", 2**n, weights=w, elements=tuple(els))
+    return Ensemble("pauli-x", 2**n, weights=w, elements=els)
 
 
 def haar_ensemble(d: int, seed: int | None = None) -> Ensemble:
@@ -597,13 +565,12 @@ def brickwork_ensemble(n: int, depth: int, seed: int | None = None) -> Ensemble:
     if depth < 1:
         raise ValueError(f"brickwork needs depth >= 1, got depth={depth}")
     d = 2**n
-    if d > DENSE_GUARD:
-        raise ValueError(f"dense guard exceeded: d={d} > {DENSE_GUARD}")
+    limits.check_dense(d)
     # even layers hold n // 2 gates, odd layers (n - 1) // 2
     n_gates = (depth + 1) // 2 * (n // 2) + depth // 2 * ((n - 1) // 2)
-    if n_gates > MAX_BRICKWORK_GATES:
+    if n_gates > limits.MAX_BRICKWORK_GATES:
         raise ValueError(f"brickwork of depth {depth} on {n} qubits has {n_gates} gates; "
-                         f"a chunk holds at most {MAX_BRICKWORK_GATES}")
+                         f"a chunk holds at most {limits.MAX_BRICKWORK_GATES}")
     # (q0, w) of the even and the odd layers; w = 0 for an empty layer (n = 2)
     spans = [(q0, 2 * len(range(q0, n - 1, 2))) for q0 in (0, 1)]
 
@@ -664,13 +631,12 @@ class ChannelApplyResult:
 
 
 def _channel_operator(a: np.ndarray, k: int, d: int) -> np.ndarray:
-    """A as a complex d^k x d^k matrix, within DENSE_GUARD."""
+    """A as a complex d^k x d^k matrix, within the dense guard."""
     a = np.asarray(a, dtype=complex)
     side = d**k
     if a.shape != (side, side):
         raise ValueError(f"operator must be {side} x {side}")
-    if side > DENSE_GUARD:
-        raise ValueError("dense guard exceeded")
+    limits.check_dense(side, "d^k=")
     return a
 
 
@@ -686,7 +652,7 @@ def kfold_channel_apply(ens: Ensemble, a: np.ndarray, k: int,
     if ens.kind == "discrete":
         est = ens.average(lambda el: _kfold_conjugate(element_to_matrix(el), a, k))
         return ChannelApplyResult(est.value, None, est.n_samples, "exact")
-    n = check_mc_samples(mc_samples)
+    n = limits.check_mc_samples(mc_samples)
     acc = np.zeros_like(a)
     acc2 = np.zeros(a.shape)
     with contextlib.closing(ens.stream(ens.resolve_seed(), n)) as chunks:

@@ -17,10 +17,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import paulialg, wg
+from . import limits, paulialg, wg
 from .cliffordgrp import CliffordTableau, trace_sq
-from .densemat import (DENSE_GUARD, Ensemble, _state_root, _threads, blockwise, check_unitary,
-                       dagger, element_to_matrix, trace)
+from .densemat import (Ensemble, _state_root, _threads, blockwise, check_unitary, dagger,
+                       element_to_matrix, trace)
 from .estimate import Estimate
 from .otolab import tabled_correlator
 from .paulialg import PauliString
@@ -100,8 +100,8 @@ def frame_potential_via_oto(ens: Ensemble, k: int) -> Estimate:
         raise ValueError("the OTO route enumerates exact ensemble averages; "
                          "discrete ensembles only")
     n = int(math.log2(ens.dim))
-    if 4 ** (2 * n * k) > paulialg.MAX_PAULI_TUPLES:
-        raise ValueError("Pauli tuple budget exceeded")
+    limits.check_budget(4 ** (2 * n * k), limits.MAX_PAULI_TUPLES,
+                        f"4^{2 * n * k} tuples > {limits.MAX_PAULI_TUPLES}", "Pauli tuple budget")
     d = ens.dim
     paulis = paulialg.enumerate_paulis(n)
     correlators = [tabled_correlator(check_unitary(el) if isinstance(el, np.ndarray) else el,
@@ -184,8 +184,8 @@ def time_averaged_frame_potential(spectrum, k: int, t_max: float,
     _check_k(k)
     if n_grid < 16:
         raise ValueError("n_grid must be at least 16")
-    if n_grid > DENSE_GUARD**2:
-        raise ValueError(f"n_grid must be at most DENSE_GUARD^2 = {DENSE_GUARD**2}, "
+    if n_grid > limits.DENSE_GUARD**2:
+        raise ValueError(f"n_grid must be at most DENSE_GUARD^2 = {limits.DENSE_GUARD**2}, "
                          f"got n_grid={n_grid}")
     if t_max <= 0:
         raise ValueError(f"t_max must be positive, got t_max={t_max}")

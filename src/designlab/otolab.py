@@ -28,9 +28,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import paulialg, wg
+from . import limits, paulialg, wg
 from .cliffordgrp import CliffordTableau, conjugate_pauli
-from .densemat import (DENSE_GUARD, Ensemble, _state_root, blockwise, check_unitary, dagger,
+from .densemat import (Ensemble, _state_root, blockwise, check_unitary, dagger,
                        element_to_matrix, pauli_to_dense, trace)
 from .estimate import Estimate
 from .paulialg import PauliString
@@ -96,8 +96,7 @@ def oto_correlator(u: np.ndarray, spec: OtoSpec):
     """(1/d) tr{A_1 U+ B_1 U ... } for a dense unitary (a complex), or for
     each unitary of a (..., d, d) stack (an array), checked once. A word
     wider than DENSE_GUARD fails before that d^3 check."""
-    if 2**spec.n > DENSE_GUARD:
-        raise ValueError(f"dense guard exceeded: d={2**spec.n} > {DENSE_GUARD}")
+    limits.check_dense(2**spec.n)
     return _word_correlator(check_unitary(u), *spec.expanded())
 
 
@@ -282,10 +281,10 @@ def m_tensor_entry(a_ops, c_ops) -> complex:
 
 def m_tensor(n: int, k: int) -> np.ndarray:
     """The full trace tensor as a matrix M[c_index, a_index] over k-tuples
-    of Pauli representatives in enumeration order."""
+    of Pauli representatives in enumeration order, within the dense guard
+    (past it, m_tensor_entry gives single entries)."""
     side = 4 ** (n * k)
-    if side > DENSE_GUARD:
-        raise ValueError("dense guard exceeded; compute single entries instead")
+    limits.check_dense(side, "M side 4^(nk) = ")
     a_tuples = list(_tuple_iter(n, k))
     m = np.empty((side, side), dtype=complex)
     for ci, c_ops in enumerate(_tuple_iter(n, k)):
@@ -331,9 +330,8 @@ def channel_coefficients_direct(ens: Ensemble, b_ops, k: int,
 
     b_ops = tuple(b_ops)
     n = b_ops[0].n
-    side = 2 ** (n * len(b_ops))
-    if side > DENSE_GUARD:  # before the kron, not after it in kfold_channel_apply
-        raise ValueError(f"dense guard exceeded: B_1 (x) ... (x) B_k side {side} > {DENSE_GUARD}")
+    # before the kron, not after it in kfold_channel_apply
+    limits.check_dense(2 ** (n * len(b_ops)), "B_1 (x) ... (x) B_k side ")
     big = pauli_to_dense(b_ops[0])
     for b in b_ops[1:]:
         big = np.kron(big, pauli_to_dense(b))

@@ -29,16 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import limits
+
 # Letter of each single-qubit factor, indexed by x + 2*z.
 _LABELS = "IXZY"
-
-# Enumeration guard: 4^8 = 65536 strings is the largest table any test needs.
-MAX_ENUM_QUBITS = 8
-# Budget on the Pauli tuples one exact Pauli-summed identity may walk.
-MAX_PAULI_TUPLES = 65536
-# Budget on the ordered pairs one exact pair sum over a discrete ensemble may
-# walk, about 0.4 s: the 4^4 Paulis at n = 4, the 2^8 bit-flip strings at n = 8.
-MAX_EXACT_PAIRS = 65536
 
 
 @dataclass(frozen=True)
@@ -273,8 +267,7 @@ def enumerate_paulis(n: int):
     Identity first, then per-qubit letter order I < X < Z < Y with qubit 0 as
     the most significant digit (so n=1 gives [I, X, Z, Y]).
     """
-    if n > MAX_ENUM_QUBITS:
-        raise ValueError(f"enumeration guard exceeded: n={n} > {MAX_ENUM_QUBITS}")
+    limits.check_budget(n, limits.MAX_ENUM_QUBITS, f"n={n} > {limits.MAX_ENUM_QUBITS}")
     return [_decode(n, code) for code in range(4**n)]
 
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import paulialg
-from .densemat import DENSE_GUARD, check_state, check_unitary, dagger, pauli_to_dense
+from . import limits, paulialg
+from .densemat import check_state, check_unitary, dagger, pauli_to_dense
 from .otolab import tabled_correlator
 from .paulialg import PauliString
 
@@ -77,17 +77,12 @@ class IoPartition:
         return 2 ** len(self.d_qubits)
 
 
-def _guard_side(d: int, what: str = "Choi state"):
-    """The dense guard on the d^2 side of a Choi state (an m-sided marginal
-    holds m d^2 products, d^4 if m = d^2) or of U (x) U*."""
-    if d * d > DENSE_GUARD:
-        raise ValueError(f"dense guard exceeded: {what} side d^2 = {d * d} > {DENSE_GUARD}")
-
-
 def _checked(u: np.ndarray, what: str = "Choi state") -> np.ndarray:
-    """u checked as a unitary once its d^2 side has passed the dense guard,
-    so an oversized u fails before the d^3 check."""
-    _guard_side(np.shape(u)[-1] if np.ndim(u) else 1, what)
+    """u checked as a unitary once the d^2 side of its Choi state (an m-sided
+    marginal holds m d^2 products, d^4 if m = d^2) or of U (x) U* has passed
+    the dense guard, so an oversized u fails before the d^3 check."""
+    d = np.shape(u)[-1] if np.ndim(u) else 1
+    limits.check_dense(d * d, f"{what} side d^2 = ")
     return check_unitary(u)
 
 
@@ -177,14 +172,13 @@ def renyi_k_oto(u: np.ndarray, part: IoPartition, k: int) -> tuple[float, float]
     number of free tuples.
     rhs: (d/(d_A d_D))^(k-1) 2^(-(k-1) S_k(rho_AC)) = that prefactor times
     tr(rho_AC^k). k=2 reduces to oto_renyi2_check. The lhs walks
-    (d_A^2 d_D^2)^(k-1) tuples, at most paulialg.MAX_PAULI_TUPLES.
+    (d_A^2 d_D^2)^(k-1) tuples, at most limits.MAX_PAULI_TUPLES.
     """
     if k < 2:
         raise ValueError(f"the Renyi-k identity needs k >= 2, got k={k}")
     tuples = (part.d_a * part.d_d) ** (2 * (k - 1))
-    if tuples > paulialg.MAX_PAULI_TUPLES:
-        raise ValueError(f"Pauli tuple budget exceeded: (d_A^2 d_D^2)^(k-1) = {tuples} "
-                         f"> {paulialg.MAX_PAULI_TUPLES}")
+    limits.check_budget(tuples, limits.MAX_PAULI_TUPLES, f"(d_A^2 d_D^2)^(k-1) = {tuples} "
+                        f"> {limits.MAX_PAULI_TUPLES}", "Pauli tuple budget")
     u = _checked(u)
     d = 2**part.n
     rho_ac = _choi_marginal(_choi_state(u), part.a_qubits, part.c_qubits)

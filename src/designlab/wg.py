@@ -31,8 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-MAX_PARTITION_K = 12
-MAX_PERMUTATION_K = 6
+from . import limits
 
 
 # ---------------------------------------------------------------------------
@@ -42,8 +41,8 @@ MAX_PERMUTATION_K = 6
 def partitions(k: int) -> list[tuple[int, ...]]:
     """All partitions of k in reverse-lexicographic order, e.g.
     partitions(3) = [(3,), (2, 1), (1, 1, 1)]."""
-    if not 1 <= k <= MAX_PARTITION_K:
-        raise ValueError(f"partition guard exceeded: k={k} not in 1..{MAX_PARTITION_K}")
+    if not 1 <= k <= limits.MAX_PARTITION_K:
+        raise ValueError(f"partition guard exceeded: k={k} not in 1..{limits.MAX_PARTITION_K}")
     return list(_partitions_in_rows(k, k, k))
 
 
@@ -61,8 +60,9 @@ def _partitions_in_rows(k: int, rows: int, largest: int):
 
 def permutations_of(k: int) -> list[tuple[int, ...]]:
     """All k! permutations of range(k), in itertools order."""
-    if not 1 <= k <= MAX_PERMUTATION_K:
-        raise ValueError(f"permutation guard exceeded: k={k} not in 1..{MAX_PERMUTATION_K}")
+    if not 1 <= k <= limits.MAX_PERMUTATION_K:
+        raise ValueError(f"permutation guard exceeded: k={k} not in "
+                         f"1..{limits.MAX_PERMUTATION_K}")
     return [tuple(p) for p in itertools.permutations(range(k))]
 
 
@@ -106,7 +106,11 @@ def trace_cycle(k: int) -> tuple[int, ...]:
 
 def permutation_matrix(pi: tuple[int, ...], d: int) -> np.ndarray:
     """Dense W_pi on (C^d)^(x)k : the factor in slot j moves to slot pi(j),
-    so row b holds its 1 in the column a with a[j] = b[pi(j)]."""
+    so row b holds its 1 in the column a with a[j] = b[pi(j)]. Its d^k side
+    is within the dense guard, checked before anything is built."""
+    limits.check_dense(d ** len(pi), "d^k=")
+    if sorted(pi) != list(range(len(pi))):
+        raise ValueError("not a permutation")
     cols = np.arange(d ** len(pi)).reshape((d,) * len(pi))
     return np.eye(d ** len(pi))[np.transpose(cols, inverse(pi)).ravel()]
 
@@ -279,7 +283,7 @@ def haar_frame_potential_exact(k: int, d: int) -> Fraction:
         raise ValueError(f"k and the dimension must be positive, got k={k}, d={d}")
     if k <= d:
         return Fraction(math.factorial(k))
-    if d > 2 and k > MAX_PARTITION_K:
-        raise ValueError(f"partition guard exceeded: k={k} > {MAX_PARTITION_K} at d={d} > 2")
+    if d > 2 and k > limits.MAX_PARTITION_K:
+        raise ValueError(f"partition guard exceeded: k={k} > {limits.MAX_PARTITION_K} at d={d} > 2")
     return Fraction(sum(irrep_dimension(lam) ** 2 for lam in _partitions_in_rows(k, d, k)))
 

@@ -399,6 +399,9 @@ class TestEdgeInputs:
         # past the largest Pauli table's 4^8 elements, which used to build 2^n Paulis
         "framepot --ensemble pauli-x --n 17 --k 1",
         "oto --ensemble pauli-x --n 22",
+        # past the exact pair budget and the Pauli tuple budget
+        "framepot --ensemble pauli --n 6 --k 1",
+        "scramble --n 2 --k 7 --seed 1",
         # a k, time window or choice count that a formula divides by
         "thermal --k 0",
         "thermal --k -1",
@@ -455,7 +458,43 @@ class TestEdgeInputs:
         "scramble --n 2 --tolerance-sigma 3",
     ])
     def test_is_a_config_error(self, capsys, argv):
-        assert_config_error(capsys, *argv.split())
+        err = assert_config_error(capsys, *argv.split())
+        if argv in self.GUARD_LINES:
+            assert err == f"error: {self.GUARD_LINES[argv]}\n"
+
+    # the whole line of each guard and budget row above
+    GUARD_LINES = {
+        "framepot --ensemble haar --n 14 --k 1 --samples 10 --seed 1":
+            "dense guard exceeded: d=16384 > 4096",
+        "framepot --ensemble brickwork --n 14 --k 1 --samples 10 --seed 1":
+            "dense guard exceeded: d=16384 > 4096",
+        "oto --ensemble gue-evolution --n 13 --samples 10 --seed 1":
+            "dense guard exceeded: d=8192 > 4096",
+        "scramble --n 7 --seed 1": "dense guard exceeded: Choi state side d^2 = 16384 > 4096",
+        "framepot --ensemble pauli-x --n 17 --k 1":
+            "enumeration guard exceeded: 2^17 elements > 4^8",
+        "oto --ensemble pauli-x --n 22": "enumeration guard exceeded: 2^22 elements > 4^8",
+        "framepot --ensemble pauli --n 6 --k 1": "enumeration guard exceeded: 4096^2 pairs > 65536",
+        "scramble --n 2 --k 7 --seed 1":
+            "Pauli tuple budget exceeded: (d_A^2 d_D^2)^(k-1) = 16777216 > 65536",
+        "timeavg --spectrum 1,2 --n-grid 1000000000000":
+            "n_grid must be at most DENSE_GUARD^2 = 16777216, got n_grid=1000000000000",
+        **dict.fromkeys([
+            "framepot --ensemble haar --n 1 --k 1 --samples 10000001 --seed 1",
+            "oto --ensemble haar --n 1 --samples 10000001 --seed 1",
+            "thermal --n 1 --beta 0 --t 1 --k 1 --samples 10000001 --seed 1"],
+            "Monte-Carlo estimates need mc_samples >= 2 and <= 10000000, got 10000001"),
+        "framepot --ensemble brickwork --n 2 --depth 100000000 --k 1 --samples 2 --seed 1":
+            "brickwork of depth 100000000 on 2 qubits has 50000000 gates; "
+            "a chunk holds at most 4096",
+        "framepot --ensemble brickwork --n 3 --depth 20000 --k 1 --samples 2 --seed 1":
+            "brickwork of depth 20000 on 3 qubits has 20000 gates; a chunk holds at most 4096",
+        "oto --ensemble brickwork --n 2 --depth 100000000 --samples 2 --seed 1":
+            "brickwork of depth 100000000 on 2 qubits has 50000000 gates; "
+            "a chunk holds at most 4096",
+        "oto --ensemble brickwork --n 3 --depth 4097 --samples 2 --seed 1":
+            "brickwork of depth 4097 on 3 qubits has 4097 gates; a chunk holds at most 4096",
+    }
 
     @pytest.mark.parametrize("argv", [
         "framepot --ensemble pauli --n 0 --k 1 --exact",

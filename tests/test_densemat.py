@@ -13,7 +13,7 @@ import pytest
 from designlab import cliffordgrp as cg
 from designlab import densemat as dm
 from designlab import framepot as fp
-from designlab import otolab, paulialg, wg
+from designlab import limits, otolab, paulialg, wg
 from designlab import scrambling as sc
 from designlab.otolab import OtoSpec
 from designlab.paulialg import from_label
@@ -96,8 +96,7 @@ class TestPauliToDense:
         assert peak < 2**20
 
     def test_correlator_guard_before_the_unitary_check(self, monkeypatch):
-        for module in (dm, otolab):
-            monkeypatch.setattr(module, "DENSE_GUARD", 2)
+        monkeypatch.setattr(limits, "DENSE_GUARD", 2)
 
         def check_unitary(u):
             raise AssertionError("the unitary was checked before the dense guard")
@@ -388,7 +387,7 @@ class TestCheckState:
 
 class TestPermutationOperator:
     def test_identity(self):
-        np.testing.assert_allclose(dm.permutation_operator((0, 1), 3), np.eye(9), atol=0)
+        np.testing.assert_allclose(wg.permutation_matrix((0, 1), 3), np.eye(9), atol=0)
 
     def test_swap_equals_pauli_sum(self):
         # k=2 swap at d=2 equals (1/d) sum_P P (x) P^dag
@@ -396,24 +395,24 @@ class TestPermutationOperator:
         for p in paulialg.enumerate_paulis(1):
             m = dm.pauli_to_dense(p)
             acc += np.kron(m, m.conj().T)
-        np.testing.assert_allclose(dm.permutation_operator((1, 0), 2), acc / 2, atol=1e-12)
+        np.testing.assert_allclose(wg.permutation_matrix((1, 0), 2), acc / 2, atol=1e-12)
 
     def test_trace_pair_cycle_count(self):
         for sigma in wg.permutations_of(3):
             for lam in wg.permutations_of(3):
-                lhs = np.trace(dm.permutation_operator(sigma, 3) @ dm.permutation_operator(lam, 3))
+                lhs = np.trace(wg.permutation_matrix(sigma, 3) @ wg.permutation_matrix(lam, 3))
                 cycles = len(wg.cycles_of(wg.compose(sigma, lam)))
                 assert lhs == pytest.approx(3**cycles)
 
     def test_composition_exact(self):
         for sigma in wg.permutations_of(3):
             for tau in wg.permutations_of(3):
-                lhs = dm.permutation_operator(sigma, 2) @ dm.permutation_operator(tau, 2)
-                assert np.array_equal(lhs, dm.permutation_operator(wg.compose(sigma, tau), 2))
+                lhs = wg.permutation_matrix(sigma, 2) @ wg.permutation_matrix(tau, 2)
+                assert np.array_equal(lhs, wg.permutation_matrix(wg.compose(sigma, tau), 2))
 
     def test_guard(self):
         with pytest.raises(ValueError):
-            dm.permutation_operator(tuple(range(7)), 4)
+            wg.permutation_matrix(tuple(range(7)), 4)
 
 
 class TestKfoldChannel:
@@ -437,7 +436,7 @@ class TestKfoldChannel:
         p = dm.pauli_to_dense(from_label("X"))
         res = dm.kfold_channel_apply(ens, np.kron(p, p), 2)
         ident = np.eye(4).reshape(-1)
-        swap = dm.permutation_operator((1, 0), 2).reshape(-1)
+        swap = wg.permutation_matrix((1, 0), 2).reshape(-1)
         basis = np.stack([ident, swap], axis=1)
         coeffs, *_ = np.linalg.lstsq(basis, res.matrix.reshape(-1), rcond=None)
         residual = res.matrix.reshape(-1) - basis @ coeffs
@@ -763,11 +762,11 @@ class TestMonteCarloGuard:
 
     @pytest.mark.parametrize("name", list(ESTIMATORS))
     def test_samples_past_the_cap_are_rejected(self, name):
-        with pytest.raises(ValueError, match=f"mc_samples >= 2 and <= {dm.MAX_MC_SAMPLES},"):
-            self.ESTIMATORS[name](dm.haar_ensemble(2, seed=1), dm.MAX_MC_SAMPLES + 1)
+        with pytest.raises(ValueError, match=f"mc_samples >= 2 and <= {limits.MAX_MC_SAMPLES},"):
+            self.ESTIMATORS[name](dm.haar_ensemble(2, seed=1), limits.MAX_MC_SAMPLES + 1)
 
     def test_cap_is_inclusive(self):
-        assert dm.check_mc_samples(dm.MAX_MC_SAMPLES) == dm.MAX_MC_SAMPLES
+        assert limits.check_mc_samples(limits.MAX_MC_SAMPLES) == limits.MAX_MC_SAMPLES
 
 
 class TestHaarChannelReference:
@@ -781,7 +780,7 @@ class TestHaarChannelReference:
         rng = np.random.default_rng(14)
         d = 2
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        s = dm.permutation_operator((1, 0), d)
+        s = wg.permutation_matrix((1, 0), d)
         expect = (np.eye(4) * np.trace(a) + s * np.trace(s @ a)
                   - s * np.trace(a) / d - np.eye(4) * np.trace(s @ a) / d) / (d * d - 1)
         np.testing.assert_allclose(dm.haar_channel_reference(a, 2, d), expect, atol=1e-12)
@@ -790,7 +789,7 @@ class TestHaarChannelReference:
     def test_fixes_permutation_operators(self, k):
         d = 4
         for lam in wg.permutations_of(k):
-            w = dm.permutation_operator(lam, d)
+            w = wg.permutation_matrix(lam, d)
             np.testing.assert_allclose(dm.haar_channel_reference(w, k, d), w, atol=1e-10)
 
     def test_k_exceeds_d(self):
@@ -804,7 +803,7 @@ class TestHaarChannelReference:
         cliff = dm.kfold_channel_apply(cg.clifford_ensemble(1), a, 3)
         np.testing.assert_allclose(ref, cliff.matrix, atol=1e-12)
         for pi in wg.permutations_of(3):
-            w = dm.permutation_operator(pi, 2)
+            w = wg.permutation_matrix(pi, 2)
             np.testing.assert_allclose(dm.haar_channel_reference(w, 3, 2), w, atol=1e-12)
 
 
@@ -842,13 +841,13 @@ class TestEnsembles:
 
     def test_pauli_x_elements_fit_the_largest_pauli_table(self, monkeypatch):
         # 2^n elements, at most the 4^MAX_ENUM_QUBITS that enumerate_paulis allows
-        monkeypatch.setattr(paulialg, "MAX_ENUM_QUBITS", 1)
+        monkeypatch.setattr(limits, "MAX_ENUM_QUBITS", 1)
         assert len(dm.pauli_x_ensemble(2).elements) == 4
         with pytest.raises(ValueError, match="enumeration guard exceeded: 2\\^3 elements > 4\\^1"):
             dm.pauli_x_ensemble(3)
 
     def test_exact_pair_budget_comes_before_the_first_pair(self, monkeypatch):
-        monkeypatch.setattr(paulialg, "MAX_EXACT_PAIRS", 15)
+        monkeypatch.setattr(limits, "MAX_EXACT_PAIRS", 15)
         calls = []
         ens = dm.pauli_ensemble(1)
         with pytest.raises(ValueError, match="enumeration guard exceeded: 4\\^2 pairs > 15"):
@@ -861,9 +860,15 @@ class TestEnsembles:
         labels = [p.label() for p in dm.pauli_x_ensemble(2).elements]
         assert labels == ["II", "XI", "IX", "XX"]
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_pauli_x_elements_are_the_label_built_strings(self, n):
+        # built from packed rows, not by parsing 2^n labels: the same tuple
+        labels = ("".join("IX"[m >> j & 1] for j in range(n)) for m in range(2**n))
+        assert dm.pauli_x_ensemble(n).elements == tuple(map(from_label, labels))
+
     def test_brickwork_gates_fit_a_chunk(self):
         # a circuit holds at most 4096 gates: 8192 layers at n = 2
-        assert dm.MAX_BRICKWORK_GATES == 4096
+        assert limits.MAX_BRICKWORK_GATES == 4096
         dm.brickwork_ensemble(2, 8192)
         with pytest.raises(ValueError, match="4097 gates; a chunk holds at most 4096"):
             dm.brickwork_ensemble(2, 8193)

@@ -10,7 +10,7 @@ import pytest
 
 from designlab import cliffordgrp as cg
 from designlab import densemat as dm
-from designlab import otolab, paulialg, wg
+from designlab import limits, otolab, paulialg, wg
 from designlab.otolab import (
     OtoSpec,
     haar_average_oto_exact,
@@ -437,8 +437,7 @@ class TestReconstruction:
         # 16 MiB used to be built before kfold_channel_apply's guard saw it
         ens = dm.pauli_ensemble(5)
         x0 = single_site(5, 0, "X")
-        for module in (dm, otolab):
-            monkeypatch.setattr(module, "DENSE_GUARD", 512)
+        monkeypatch.setattr(limits, "DENSE_GUARD", 512)
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="dense guard exceeded"):
@@ -458,7 +457,7 @@ class TestReconstruction:
             big = np.kron(dm.pauli_to_dense(c_ops[0]), dm.pauli_to_dense(c_ops[1]))
             out += gamma[key] * big
         basis = np.stack([np.eye(4).reshape(-1),
-                          dm.permutation_operator((1, 0), 2).reshape(-1)], axis=1)
+                          wg.permutation_matrix((1, 0), 2).reshape(-1)], axis=1)
         coeffs, *_ = np.linalg.lstsq(basis, out.reshape(-1), rcond=None)
         assert np.linalg.norm(out.reshape(-1) - basis @ coeffs) <= 1e-10
 

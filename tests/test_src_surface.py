@@ -19,7 +19,6 @@ TREES = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
 TEST_BACKED = {
     "cz_tableau": "test_cliffordgrp.py::test_cz_images",
     "pauli_tableau": "test_cliffordgrp.py::test_pauli_tableaux_fix_paulis_up_to_sign",
-    "permutation_operator": "test_densemat.py::test_composition_exact",
     "hamiltonian_evolution_ensemble": "test_densemat.py::test_hamiltonian_evolution_ensemble",
     "haar_channel_reference": "test_densemat.py::test_k2_explicit_formula",
     "random_sign_state_overlap": "test_densemat.py::test_scaling_and_bound",
@@ -102,3 +101,24 @@ def test_one_weingarten_route():
              if module != "wg.py"}
     reads["cli.py"] -= _reads_of(verify_row, "q_inverse")
     assert {module: count for module, count in reads.items() if count} == {}
+
+
+def _is_bound(name: str) -> bool:
+    return name.startswith("MAX_") or name.endswith("_GUARD")
+
+
+@pytest.mark.parametrize("module", sorted(set(TREES) - {"limits.py"}))
+def test_bounds_have_one_home(module):
+    # every guard and budget lives in limits.py and is read there at call
+    # time, so one patch of limits.X reaches every check that reads it
+    tree = TREES[module]
+    assigned = [target.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+                for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                if isinstance(target, ast.Name) and _is_bound(target.id)]
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names if _is_bound(alias.name)]
+    bare = [node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and _is_bound(node.id)]
+    elsewhere = [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                 and _is_bound(node.attr)
+                 and not (isinstance(node.value, ast.Name) and node.value.id == "limits")]
+    assert (assigned, imported, bare, elsewhere) == ([], [], [], [])
