@@ -3,7 +3,9 @@ reports and a verify command that runs the exact-oracle battery.
 
 Every report embeds the analytic reference it was checked against (value
 plus a human-readable formula string), so results are self-describing.
-Identical configurations and seeds produce byte-identical output.
+Identical configurations and seeds produce byte-identical output at a fixed
+OpenBLAS thread count; Haar averages at d >= 128 and `timeavg` above 10,000
+grid points (its final `ddot`) can differ in the last digits across counts.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -294,12 +297,11 @@ def cmd_scramble(args) -> tuple[dict, bool]:
 
 
 def cmd_timeavg(args) -> tuple[dict, bool]:
-    spectrum = [float(x) for x in args.spectrum.split(",")]
-    est = fp.time_averaged_frame_potential(spectrum, args.k, args.t_max, args.n_grid)
-    ref = fp.analytic_time_average(args.k, len(spectrum))
+    est = fp.time_averaged_frame_potential(args.spectrum, args.k, args.t_max, args.n_grid)
+    ref = fp.analytic_time_average(args.k, len(args.spectrum))
     report = {
         "estimator": "time_averaged_frame_potential", "k": args.k,
-        "d": len(spectrum), "t_max": args.t_max, "n_grid": args.n_grid,
+        "d": len(args.spectrum), "t_max": args.t_max, "n_grid": args.n_grid,
         "value": est.value, "std_error": est.std_error,
         "convergence_diagnostic": est.std_error,
         "reference": ref, "reference_formula": "k! d^k (incommensurate levels)",
@@ -446,6 +448,22 @@ def cmd_verify(args) -> tuple[dict, bool]:
 # parser
 # ---------------------------------------------------------------------------
 
+def _finite_float(text: str) -> float:
+    """type= of every float option and of each --spectrum entry: a NaN or an
+    infinity is a configuration error, before any formula or report sees it."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _spectrum(text: str) -> list[float]:
+    return [_finite_float(x) for x in text.split(",")]
+
+
 def _add_output(sp):
     sp.add_argument("--output", default=None, help="write the report to a file")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
@@ -461,10 +479,10 @@ def _add_monte_carlo(sp):
     sp.add_argument("--samples", type=int, default=10_000,
                     help="Monte-Carlo draws (pairs for framepot)")
     sp.add_argument("--depth", type=int, default=4, help="brickwork depth")
-    sp.add_argument("--t", type=float, default=1.0, help="evolution time")
+    sp.add_argument("--t", type=_finite_float, default=1.0, help="evolution time")
     sp.add_argument("--seed", type=int, default=None)
     _add_check(sp)
-    sp.add_argument("--tolerance-sigma", type=float, default=5.0)
+    sp.add_argument("--tolerance-sigma", type=_finite_float, default=5.0)
     _add_output(sp)
 
 
@@ -505,15 +523,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_wg)
 
     sp = sub.add_parser("bounds", help="complexity/cardinality/entropy bounds")
-    sp.add_argument("--f", type=float, required=True, help="frame potential")
+    sp.add_argument("--f", type=_finite_float, required=True, help="frame potential")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--choices", type=float, default=None)
+    sp.add_argument("--choices", type=_finite_float, default=None)
     sp.add_argument("--g", type=int, default=None, help="gate-set size")
     sp.add_argument("--q", type=int, default=None, help="gate locality")
-    sp.add_argument("--epsilon", type=float, default=None)
-    sp.add_argument("--tr-h2", type=float, default=None, dest="tr_h2")
-    sp.add_argument("--time", type=float, default=None)
+    sp.add_argument("--epsilon", type=_finite_float, default=None)
+    sp.add_argument("--tr-h2", type=_finite_float, default=None, dest="tr_h2")
+    sp.add_argument("--time", type=_finite_float, default=None)
     _add_output(sp)
     sp.set_defaults(func=cmd_bounds)
 
@@ -529,19 +547,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_scramble)
 
     sp = sub.add_parser("timeavg", help="double time average of the frame potential")
-    sp.add_argument("--spectrum", required=True, help="comma-separated energies")
+    sp.add_argument("--spectrum", type=_spectrum, required=True,
+                    help="comma-separated energies")
     sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--t-max", type=float, default=2000.0, dest="t_max")
+    sp.add_argument("--t-max", type=_finite_float, default=2000.0, dest="t_max")
     sp.add_argument("--n-grid", type=int, default=200_000, dest="n_grid")
-    sp.add_argument("--rtol", type=float, default=0.05)
+    sp.add_argument("--rtol", type=_finite_float, default=0.05)
     _add_check(sp)
     _add_output(sp)
     sp.set_defaults(func=cmd_timeavg)
 
     sp = sub.add_parser("thermal", help="thermal frame potential over GUE draws")
     sp.add_argument("--n", type=int, default=1)
-    sp.add_argument("--beta", type=float, default=0.0)
-    sp.add_argument("--t", type=float, default=0.0)
+    sp.add_argument("--beta", type=_finite_float, default=0.0)
+    sp.add_argument("--t", type=_finite_float, default=0.0)
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--samples", type=int, default=2000)
     sp.add_argument("--seed", type=int, default=0)

@@ -101,24 +101,6 @@ def phase_gate_tableau(n: int, site: int) -> CliffordTableau:
     return CliffordTableau(n, tuple(rows), tuple(int(r == site) for r in range(2 * n)))
 
 
-def cz_tableau(n: int, a: int, b: int) -> CliffordTableau:
-    # CZ X_a CZ = X_a Z_b and CZ X_b CZ = Z_a X_b, both with a + sign
-    if a == b:
-        raise ValueError("CZ needs two distinct qubits")
-    rows = list(identity_tableau(n).rows)
-    rows[a] |= rows[n + b]
-    rows[b] |= rows[n + a]
-    return CliffordTableau(n, tuple(rows), (0,) * (2 * n))
-
-
-def pauli_tableau(p: PauliString) -> CliffordTableau:
-    """A Pauli operator as a Clifford: each image is its generator, with a
-    - sign exactly when the generator anticommutes with p."""
-    base = identity_tableau(p.n)
-    signs = tuple(row_product(row, paulialg.to_row(p), p.n) for row in base.rows)
-    return CliffordTableau(p.n, base.rows, signs)
-
-
 def compose(a: CliffordTableau, b: CliffordTableau) -> CliffordTableau:
     """Tableau of the operator product a @ b (conjugation by b after a)."""
     if a.n != b.n:

@@ -490,18 +490,6 @@ def gue_evolution_ensemble(d: int, t: float, seed: int | None = None) -> Ensembl
     return Ensemble("gue-evolution", d, sampler=draw, seed=seed)
 
 
-def hamiltonian_evolution_ensemble(h: np.ndarray, t_max: float, seed: int | None = None) -> Ensemble:
-    """{exp(-i H t)} with t uniform in [0, t_max] for a fixed Hamiltonian."""
-    h = check_hermitian(h)
-    evals, vecs = np.linalg.eigh(h)
-
-    def draw(rng, size):
-        t = rng.uniform(0.0, t_max, size)
-        return (vecs * np.exp(-1j * evals * t[:, None])[:, None, :]) @ dagger(vecs)
-
-    return Ensemble("hamiltonian-evolution", h.shape[0], sampler=draw, seed=seed)
-
-
 def _beside_identity(a: np.ndarray, r: int) -> np.ndarray:
     """a (x) I_r for each matrix of an (m, s, s) stack, written by index into
     zeros; a itself when r = 1."""
@@ -676,20 +664,6 @@ def haar_channel_reference(a: np.ndarray, k: int, d: int) -> np.ndarray:
     traces = [np.trace(w @ a) for w in ws]
     return sum(complex(wg.contract(k, d, unit, traces)) * w
                for unit, w in zip(np.eye(len(ws), dtype=int), ws))
-
-
-# ---------------------------------------------------------------------------
-# random sign states
-# ---------------------------------------------------------------------------
-
-def random_sign_state_overlap(d: int, pairs: int, rng: np.random.Generator) -> Estimate:
-    """Mean |<a|b>| over pairs of uniform +/-1-coefficient states
-    (normalized by 1/sqrt(d)), with a standard error."""
-    if d < 2:
-        raise ValueError("d must be at least 2")
-    signs = rng.integers(0, 2, size=(pairs, 2, d)) * 2 - 1
-    overlaps = np.abs((signs[:, 0, :] * signs[:, 1, :]).sum(axis=1)) / d
-    return mc_estimate(overlaps, None)
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
-from . import limits, paulialg, wg
+from . import limits, paulialg
 from .cliffordgrp import CliffordTableau, trace_sq
 from .densemat import (Ensemble, _state_root, _threads, blockwise, check_unitary, dagger,
                        element_to_matrix, trace)
@@ -231,33 +230,6 @@ def generalized_G(ens: Ensemble, rho: np.ndarray, k: int,
     """The sibling generalization with the second trace ordered U+ V;
     its Haar value is state-independent."""
     return _generalized(ens, rho, k, "G", mc_samples)
-
-
-def generalized_F_haar_reference(rho_kind: str, k: int, d: int,
-                                 rho: np.ndarray | None = None) -> Fraction | float:
-    """Haar value of the generalized frame potential.
-
-    rho_kind: "pure" -> 1/binom(k+d-1, k); "maximally_mixed" -> F_Haar/d^2;
-    "explicit" (with rho) -> tr(rho^2)/d at k=1 or the two-term k=2 formula.
-    Explicit states with k >= 3 have no closed form here: use Monte Carlo
-    via generalized_F.
-    """
-    if rho_kind == "pure":
-        return Fraction(1, math.comb(k + d - 1, k))
-    if rho_kind == "maximally_mixed":
-        return wg.haar_frame_potential_exact(k, d) / (d * d)
-    if rho_kind == "explicit":
-        if rho is None:
-            raise ValueError("explicit kind needs rho")
-        purity = float(np.trace(rho @ rho).real)
-        if k == 1:
-            return purity / d
-        if k == 2:
-            tr = float(np.trace(rho).real)
-            return 2 * tr * tr / (d * d - 1) - 2 * purity / (d * (d * d - 1))
-        raise ValueError("no closed form for explicit rho with k >= 3; "
-                         "use Monte Carlo (generalized_F)")
-    raise ValueError(f"unknown rho_kind {rho_kind!r}")
 
 
 def thermal_W(ens: Ensemble, beta: float, t: float, k: int, mc_samples: int) -> Estimate:

@@ -30,8 +30,8 @@ import numpy as np
 
 from . import limits, paulialg, wg
 from .cliffordgrp import CliffordTableau, conjugate_pauli
-from .densemat import (Ensemble, _state_root, blockwise, check_unitary, dagger,
-                       element_to_matrix, pauli_to_dense, trace)
+from .densemat import (Ensemble, blockwise, check_unitary, dagger, element_to_matrix,
+                       pauli_to_dense, trace)
 from .estimate import Estimate
 from .paulialg import PauliString
 
@@ -179,22 +179,6 @@ def oto_ensemble_average(ens: Ensemble, spec: OtoSpec,
     return ens.average(lambda el: _element_correlator(el, spec), mc_samples=mc_samples)
 
 
-def regulated_oto(rho: np.ndarray, u: np.ndarray, spec: OtoSpec) -> complex:
-    """tr{rho^(1/2k) A_1 rho^(1/2k) B~_1 ...}: one fractional power of the
-    state between every insertion. rho = I/d reduces this to the plain
-    correlator exactly."""
-    a_ops, b_ops = spec.expanded()
-    root = _state_root(rho, 1 / (2 * len(a_ops)))
-    d = 2**spec.n
-    if root.shape != (d, d):
-        raise ValueError("state dimension mismatch")
-    u = check_unitary(u)
-    acc = np.eye(d, dtype=complex)
-    for a, b in zip(a_ops, b_ops):
-        acc = acc @ root @ pauli_to_dense(a) @ root @ (u.conj().T @ pauli_to_dense(b) @ u)
-    return complex(np.trace(acc))
-
-
 # ---------------------------------------------------------------------------
 # exact Haar averages via Weingarten calculus
 # ---------------------------------------------------------------------------
@@ -234,22 +218,6 @@ def haar_average_oto_exact(a_ops, b_ops) -> tuple[Fraction, Fraction]:
 def haar_average_oto_spec(spec: OtoSpec) -> tuple[Fraction, Fraction]:
     a_full, b_full = spec.expanded()
     return haar_average_oto_exact(a_full, b_full)
-
-
-def restricted_average_commutator(u: np.ndarray, a_ops) -> complex:
-    """Average of the commutator-ordered 4m-point correlator over all
-    non-identity B_1..B_m tuples, for one fixed unitary (exact sum). One
-    table conjugates each B once; the tuples index it."""
-    a_ops = tuple(a_ops)
-    non_identity = [p for p in paulialg.enumerate_paulis(a_ops[0].n) if not p.is_identity_bits]
-    b_tuples = list(itertools.product(non_identity, repeat=len(a_ops)))
-    words = [OtoSpec(a_ops, b_ops, "commutator").expanded() for b_ops in b_tuples]
-    a_list = list(dict.fromkeys(words[0][0]))
-    corr = tabled_correlator(check_unitary(u), a_list, non_identity)
-    total = 0j
-    for a_full, b_full in words:
-        total += corr([a_list.index(a) for a in a_full], [non_identity.index(b) for b in b_full])
-    return total / len(b_tuples)
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import limits
 
 # Letter of each single-qubit factor, indexed by x + 2*z.
@@ -269,9 +267,3 @@ def enumerate_paulis(n: int):
     """
     limits.check_budget(n, limits.MAX_ENUM_QUBITS, f"n={n} > {limits.MAX_ENUM_QUBITS}")
     return [_decode(n, code) for code in range(4**n)]
-
-
-def random_pauli(n: int, rng: np.random.Generator, exclude_identity: bool = False) -> PauliString:
-    """Uniform draw over the 4^n representatives (4^n - 1 when excluding I)."""
-    lo = 1 if exclude_identity else 0
-    return _decode(n, int(rng.integers(lo, 4**n)))

@@ -107,24 +107,16 @@ def trace_cycle(k: int) -> tuple[int, ...]:
 def permutation_matrix(pi: tuple[int, ...], d: int) -> np.ndarray:
     """Dense W_pi on (C^d)^(x)k : the factor in slot j moves to slot pi(j),
     so row b holds its 1 in the column a with a[j] = b[pi(j)]. Its d^k side
-    is within the dense guard, checked before anything is built."""
-    limits.check_dense(d ** len(pi), "d^k=")
+    is within the dense guard, checked before anything is built. The ones
+    are written by index into zeros, so only the one matrix is allocated."""
+    side = d ** len(pi)
+    limits.check_dense(side, "d^k=")
     if sorted(pi) != list(range(len(pi))):
         raise ValueError("not a permutation")
-    cols = np.arange(d ** len(pi)).reshape((d,) * len(pi))
-    return np.eye(d ** len(pi))[np.transpose(cols, inverse(pi)).ravel()]
-
-
-def class_size(mu: tuple[int, ...]) -> int:
-    """Number of permutations of cycle type mu."""
-    k = sum(mu)
-    counts: dict[int, int] = {}
-    for part in mu:
-        counts[part] = counts.get(part, 0) + 1
-    denom = 1
-    for length, m in counts.items():
-        denom *= (length**m) * math.factorial(m)
-    return math.factorial(k) // denom
+    cols = np.arange(side).reshape((d,) * len(pi))
+    w = np.zeros((side, side))
+    w[np.arange(side), np.transpose(cols, inverse(pi)).ravel()] = 1.0
+    return w
 
 
 # ---------------------------------------------------------------------------

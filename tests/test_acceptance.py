@@ -26,6 +26,8 @@ from designlab import otolab, paulialg, scrambling, wg
 from designlab.otolab import OtoSpec, oto_ensemble_average, predict
 from designlab.paulialg import from_label, single_site
 
+import oracles
+
 F = Fraction
 
 
@@ -365,7 +367,7 @@ def test_criterion_10_generalized_frame_potentials():
     rho2 = np.zeros((2, 2), dtype=complex)
     rho2[0, 0] = 1.0
     est = fp.generalized_F(dm.haar_ensemble(2, seed=110), rho2, 2, mc_samples=20_000)
-    want = float(fp.generalized_F_haar_reference("pure", 2, 2))
+    want = float(oracles.generalized_F_haar_reference("pure", 2, 2))
     dev = abs(est.value - want) / est.std_error
     ok &= dev <= 5 and abs(want - 1 / 3) < 1e-15
     msgs.append(f"Haar pure k=2 d=2: {est.value:.4f} ({dev:.2f} sigma from 1/3)")

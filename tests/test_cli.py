@@ -456,6 +456,22 @@ class TestEdgeInputs:
         "timeavg --spectrum 1,2 --seed 1",
         "timeavg --spectrum 1,2 --tolerance-sigma 3",
         "scramble --n 2 --tolerance-sigma 3",
+        # a NaN or an infinity in a float option, which used to warn and then
+        # fail writing a report JSON cannot hold, or pass a check it cannot fail
+        "timeavg --spectrum nan,1 --k 1",
+        "timeavg --spectrum 1,-inf --k 1",
+        "timeavg --spectrum 1,2 --t-max inf",
+        "timeavg --spectrum 1,2 --rtol nan --check",
+        "bounds --f nan --k 1 --n 2",
+        "bounds --f 2 --k 1 --n 2 --choices nan",
+        "bounds --f 2 --k 1 --n 2 --epsilon nan",
+        "bounds --f 2 --k 1 --n 2 --tr-h2 inf --time 1",
+        "bounds --f 2 --k 1 --n 2 --tr-h2 1 --time nan",
+        "thermal --beta nan --n 1 --t 1 --k 1 --samples 10 --seed 1",
+        "thermal --beta 0 --n 1 --t -inf --k 1 --samples 10 --seed 1",
+        "framepot --ensemble gue-evolution --n 1 --k 1 --samples 4 --seed 1 --t inf",
+        "framepot --ensemble haar --n 1 --k 1 --samples 4 --seed 1 --check --tolerance-sigma nan",
+        "oto --ensemble haar --n 1 --samples 4 --seed 1 --check --tolerance-sigma inf",
     ])
     def test_is_a_config_error(self, capsys, argv):
         err = assert_config_error(capsys, *argv.split())

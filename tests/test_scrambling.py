@@ -14,6 +14,8 @@ from designlab import otolab, paulialg
 from designlab import scrambling as sc
 from designlab.paulialg import from_label
 
+import oracles
+
 
 def swap_unitary():
     s = np.zeros((4, 4))
@@ -364,13 +366,13 @@ class TestOneCheckPerCall:
         "catch_game": lambda u: sc.catch_game(u, {paulialg.identity(3): 1.0}),
         "oto_correlator": lambda u: otolab.oto_correlator(
             u, otolab.OtoSpec((TestOneCheckPerCall.X,), (TestOneCheckPerCall.X,))),
-        "restricted_average_commutator": lambda u: otolab.restricted_average_commutator(
+        "restricted_average_commutator": lambda u: oracles.restricted_average_commutator(
             u, (TestOneCheckPerCall.X,)),
     }
 
     @pytest.fixture
     def checks(self, monkeypatch):
-        return counted(monkeypatch, dm, "check_unitary", (sc, otolab, fp))
+        return counted(monkeypatch, dm, "check_unitary", (sc, otolab, fp, oracles))
 
     @pytest.mark.parametrize("name", sorted(PUBLIC))
     def test_each_public_call_checks_once(self, checks, name):

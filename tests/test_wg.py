@@ -6,9 +6,11 @@ Monte Carlo moments) provide the independent routes.
 """
 
 import bisect
+import collections
 import itertools
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +19,11 @@ import pytest
 from designlab import wg
 
 F = Fraction
+
+
+def class_sizes(k: int) -> collections.Counter:
+    """Permutations of each cycle type, counted over all k! of them."""
+    return collections.Counter(wg.cycle_type(p) for p in wg.permutations_of(k))
 
 
 class TestPartitions:
@@ -69,16 +76,18 @@ class TestCharacters:
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_orthogonality(self, k):
         # sum_mu |class(mu)| chi^lam(mu) chi^lam'(mu) = k! delta
-        parts = wg.partitions(k)
+        parts, sizes = wg.partitions(k), class_sizes(k)
         for lam, lam2 in itertools.product(parts, repeat=2):
-            s = sum(wg.class_size(mu) * wg.character(lam, mu) * wg.character(lam2, mu)
+            s = sum(sizes[mu] * wg.character(lam, mu) * wg.character(lam2, mu)
                     for mu in parts)
             assert s == (math.factorial(k) if lam == lam2 else 0)
 
     def test_character_matches_permutation_matrix_trace(self):
         # chi^lam at identity equals hook dimension; cross-check class sizes
         for k in (2, 3, 4):
-            assert sum(wg.class_size(mu) for mu in wg.partitions(k)) == math.factorial(k)
+            sizes = class_sizes(k)
+            assert sorted(sizes) == sorted(wg.partitions(k))
+            assert sum(sizes.values()) == math.factorial(k)
 
 
 class TestDimensions:
@@ -170,8 +179,8 @@ class TestWeingarten:
         assert wg.weingarten((1, 1, 1), 2) == F(17, 144)
         # E|U_00|^6 = sum_{sigma,tau} Wg(sigma tau^-1) = 6 sum_sigma Wg(sigma);
         # |U_00|^2 is uniform on [0, 1] at d=2, so the moment is 1/4
-        assert 6 * sum(wg.class_size(mu) * wg.weingarten(mu, 2)
-                       for mu in wg.partitions(3)) == F(1, 4)
+        sizes = class_sizes(3)
+        assert 6 * sum(sizes[mu] * wg.weingarten(mu, 2) for mu in wg.partitions(3)) == F(1, 4)
 
     def test_dimension_must_be_positive(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -364,6 +373,12 @@ class TestContract:
         assert wg.contract(4, 3, left, right) == pytest.approx(left @ qinv @ right, abs=1e-12)
 
 
+def permutation_matrix_from_eye(pi: tuple[int, ...], d: int) -> np.ndarray:
+    """W_pi as rows of the d^k-sided identity, picked by the permuted index."""
+    cols = np.arange(d ** len(pi)).reshape((d,) * len(pi))
+    return np.eye(d ** len(pi))[np.transpose(cols, wg.inverse(pi)).ravel()]
+
+
 class TestPermutationCombinatorics:
     def test_compose_convention(self):
         sigma = (1, 2, 0)
@@ -390,6 +405,24 @@ class TestPermutationCombinatorics:
     def test_trace_of_w_counts_cycles(self):
         for pi in wg.permutations_of(4):
             assert np.trace(wg.permutation_matrix(pi, 3)) == 3 ** len(wg.cycles_of(pi))
+
+    @pytest.mark.parametrize("d, k", [(2, 3), (3, 3), (2, 4), (4, 3)])
+    def test_matrix_bytes_match_identity_rows(self, d, k):
+        for pi in wg.permutations_of(k):
+            assert permutation_matrix_from_eye(pi, d).tobytes() \
+                == wg.permutation_matrix(pi, d).tobytes()
+
+    def test_matrix_peak_is_one_matrix(self):
+        # d = 4, k = 5: an 8 MiB matrix, and no d^k-sided identity beside it
+        pi = (1, 2, 3, 4, 0)
+        tracemalloc.start()
+        try:
+            w = wg.permutation_matrix(pi, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * w.nbytes
+        assert w.tobytes() == permutation_matrix_from_eye(pi, 4).tobytes()
 
 
 class TestHaarFramePotential:
