@@ -373,17 +373,11 @@ def _verify_checks(quick: bool):
     mt = otolab.m_tensor(1, 2)
     dev = np.max(np.abs(mt.conj().T @ mt - 16 * np.eye(16)))
     yield ("M tensor orthogonality (n=1, k=2)", float(dev), 0.0, 1e-12)
-    # closed-form correlators against the exact permutation-average oracle
-    x0, x1 = paulialg.single_site(2, 0, "X"), paulialg.single_site(2, 1, "X")
-    z0, z1 = paulialg.single_site(2, 0, "Z"), paulialg.single_site(2, 1, "Z")
-    re, im = otolab.haar_average_oto_spec(OtoSpec((x0, x1), (z0, z1), "commutator"))
-    yield ("8pt commutator closed form (d=4)", re,
-           otolab.predict("haar", "eight_point_commutator_commuting", 4), 0)
-    e = paulialg.mul(x0, x1).adjoint().representative()
-    f6 = paulialg.mul(z0, z1).adjoint().representative()
-    re6, _ = otolab.haar_average_oto_spec(OtoSpec((x0, x1, e), (z0, z1, f6)))
-    yield ("6pt closed form (d=4)", re6,
-           otolab.predict("haar", "six_point_commuting", 4), 0)
+    # `oto --kind`'s closed forms against the exact permutation-average oracle
+    for kind, name in (("commutator8", "8pt commutator closed form (d=4)"),
+                       ("oto6", "6pt closed form (d=4)")):
+        spec, closed_form, _ = _default_oto_spec(kind, 2, 2)
+        yield (name, otolab.haar_average_oto_spec(spec)[0], closed_form, 0)
     xx = paulialg.from_label("X")
     zz = paulialg.from_label("Z")
     est = otolab.oto_ensemble_average(cl, OtoSpec((xx, xx), (zz, zz)))
@@ -410,7 +404,7 @@ def _verify_checks(quick: bool):
         est_mc = fp.frame_potential_mc(dm.haar_ensemble(2, seed=7), 1, 4000)
         yield ("Haar MC F1 (d=2, 5 sigma)", est_mc.value, 1.0, 5 * est_mc.std_error)
         ens4 = dm.haar_ensemble(4, seed=8)
-        est_oto = otolab.oto_ensemble_average(ens4, OtoSpec((x0, x0), (z0, z0)),
+        est_oto = otolab.oto_ensemble_average(ens4, _default_oto_spec("oto4", 2, 2)[0],
                                               mc_samples=4000)
         yield ("Haar MC 4pt (d=4, 5 sigma)", est_oto.value.real, -1 / 15,
                5 * est_oto.std_error)

@@ -13,22 +13,22 @@ Draws come in stacks. `haar_unitary` and `gue_hamiltonian` take a numpy-style
 `size` and return a (*size, d, d) stack from one `rng.normal` call; a stack
 is bit for bit the sequence of one-at-a-time draws from the same generator,
 and leaves the generator in the same state. An ensemble sampler is
-`sampler(rng, size) -> size draws`: a (size, d, d) stack for dense
-ensembles, a list for Clifford tableaux. `Ensemble.average` streams one
-generator in chunks of `chunk_size(d)` draws and evaluates its integrand on
-each chunk, keeping only the values. Each chunk, views included, is dropped
-before the next is drawn, so a Monte-Carlo average holds one chunk and its
-sampler's or integrand's temporaries at a time, whatever the sample count:
-about 5 chunks at the peak of a Haar or GUE draw. The estimators' dense
-integrands run `blockwise`, ASSEMBLY_BYTES of draws at a time, so theirs
-are small. A chunk is MC_CHUNK draws, or fewer from d = 128 on (16, then 4 at
-d = 256 and 2 from d = 512), so that its d^2 complex numbers per draw stay
-within CHUNK_BYTES (4 MiB). Clifford tableaux hold 2n ints a draw, so their
-chunks are MC_CHUNK draws from the second on. A brickwork chunk draws its
-gates (256 B each) CHUNK_BYTES at a time, or one sub-stack per pool worker,
-and holds the temporaries of the circuits being assembled, each layer only as
-wide as the qubits its gates cover: up to MC_CHUNK // 4 = 16 circuits, or
-ASSEMBLY_BYTES of them (4 at d = 64) per worker thread.
+`sampler(rng, size) -> size draws`: a (size, d, d) stack for dense ensembles,
+a list for Clifford tableaux. `Ensemble.average` streams one generator in
+chunks of `chunk_size(d)` draws and evaluates its integrand on each stack, or
+on each draw of a list, keeping only the values. Each chunk, views included,
+is dropped before the next is drawn, so a Monte-Carlo average holds one chunk
+and its sampler's or integrand's temporaries at a time, whatever the sample
+count: about 5 chunks at the peak of a Haar or GUE draw. The estimators'
+dense integrands run `blockwise`, ASSEMBLY_BYTES of draws at a time, so
+theirs are small. A chunk is MC_CHUNK draws, or fewer from d = 128 on (16,
+then 4 at d = 256 and 2 from d = 512), so that its d^2 complex numbers per
+draw stay within CHUNK_BYTES (4 MiB). Clifford tableaux hold 2n ints a draw,
+so their chunks are MC_CHUNK draws from the second on. A brickwork chunk
+draws its gates (256 B each) CHUNK_BYTES at a time, or one sub-stack per pool
+worker, and holds the temporaries of the circuits being assembled, each layer
+only as wide as the qubits its gates cover: up to MC_CHUNK // 4 = 16
+circuits, or ASSEMBLY_BYTES of them (4 at d = 64) per worker thread.
 
 Threads: `_Threads` is the one place that spreads work over the CPUs. It
 runs independent tasks on one worker thread per usable CPU (the time
@@ -314,12 +314,10 @@ def evolve(h: np.ndarray, t: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def element_to_matrix(el: Any) -> np.ndarray:
-    """Dense matrix of an ensemble element (array, Pauli, or tableau-like),
-    or the (c, d, d) stack of a list of them."""
+    """Dense matrix of one ensemble element (Pauli or tableau-like), or an
+    array (a matrix or a dense stack of draws) as it is."""
     if isinstance(el, np.ndarray):
         return el
-    if isinstance(el, list):
-        return np.stack([element_to_matrix(x) for x in el])
     if isinstance(el, PauliString):
         return pauli_to_dense(el)
     if hasattr(el, "dense"):
@@ -413,12 +411,12 @@ class Ensemble:
         w_i * w_j, i-major, at most limits.MAX_EXACT_PAIRS pairs), calling
         f on one element (pair) at a time; f may return arrays. Samplers give
         `mc_estimate` of mc_samples values: f is called on each chunk of the
-        stream (a stack or a list of draws, or the chunk's even and odd draws
-        for pairs, so pair i is draws 2i and 2i+1) and returns one value per
-        draw (pair). A chunk and its views are dropped before the next one is
-        drawn, so the average holds one chunk and the sampler's or f's
-        temporaries (about 5 chunks while a Haar chunk is drawn), plus the
-        values.
+        stream, a stack (or its even and odd draws for pairs, so pair i is
+        draws 2i and 2i+1), or on each draw (pair) of a list of exact draws,
+        and returns one value per draw (pair). A chunk and its views are
+        dropped before the next one is drawn, so the average holds one chunk
+        and the sampler's or f's temporaries (about 5 chunks while a Haar
+        chunk is drawn), plus the values.
         """
         if self.kind == "discrete":
             n = len(self.elements)
@@ -441,8 +439,10 @@ class Ensemble:
                 as chunks:
             vals = []
             for chunk in chunks:
-                vals.append(f(chunk[0::2], chunk[1::2]) if pairs else f(chunk))
-                del chunk  # else it lives through the next draw
+                parts = (chunk[0::2], chunk[1::2]) if pairs else (chunk,)
+                vals.append(np.array([f(*el) for el in zip(*parts)])
+                            if isinstance(chunk, list) else f(*parts))
+                del chunk, parts  # else they live through the next draw
         return mc_estimate(np.concatenate(vals), seed)
 
     def resolve_seed(self) -> int:

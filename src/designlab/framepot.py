@@ -21,7 +21,7 @@ from .cliffordgrp import CliffordTableau, trace_sq
 from .densemat import (Ensemble, _state_root, _threads, blockwise, check_unitary, dagger,
                        element_to_matrix, trace)
 from .estimate import Estimate
-from .otolab import tabled_correlator
+from .otolab import _check_tuples, tabled_correlator
 from .paulialg import PauliString
 
 # bytes of complex phases per tau chunk of the time average: 1,024 rows at
@@ -49,9 +49,7 @@ def _check_k(k: int):
 
 def _pair_trace_power(a, b, k: int):
     """|tr(a^dag b)|^(2k) for a pair of ensemble elements, or per pair of two
-    chunks of draws; exact for Pauli/Clifford, a blockwise trace otherwise."""
-    if isinstance(a, list):
-        return np.array([_pair_trace_power(x, y, k) for x, y in zip(a, b)])
+    dense stacks; exact for Pauli/Clifford, a blockwise trace otherwise."""
     if isinstance(a, PauliString) and isinstance(b, PauliString):
         re, im = paulialg.trace_product_int([a.adjoint(), b])
         return float(re * re + im * im) ** k
@@ -98,9 +96,9 @@ def frame_potential_via_oto(ens: Ensemble, k: int) -> Estimate:
     if ens.kind != "discrete":
         raise ValueError("the OTO route enumerates exact ensemble averages; "
                          "discrete ensembles only")
+    _check_k(k)
     n = int(math.log2(ens.dim))
-    limits.check_budget(4 ** (2 * n * k), limits.MAX_PAULI_TUPLES,
-                        f"4^{2 * n * k} tuples > {limits.MAX_PAULI_TUPLES}", "Pauli tuple budget")
+    _check_tuples(n, 2 * k)
     d = ens.dim
     paulis = paulialg.enumerate_paulis(n)
     correlators = [tabled_correlator(check_unitary(el) if isinstance(el, np.ndarray) else el,

@@ -163,10 +163,8 @@ def tabled_correlator(element, a_list, b_list):
 
 
 def _element_correlator(element, spec: OtoSpec):
-    """Correlators of one element, or one per draw of a chunk: exact for
-    Pauli and Clifford elements, dense (stacked, blockwise) otherwise."""
-    if isinstance(element, list):
-        return np.array([_element_correlator(el, spec) for el in element])
+    """The correlator of one element, exact for Pauli and Clifford elements
+    and dense otherwise, or one per draw of a dense stack (blockwise)."""
     if isinstance(element, (PauliString, CliffordTableau)):
         return oto_correlator_exact(element, spec)
     return blockwise(lambda u: oto_correlator(u, spec), element_to_matrix(element))
@@ -238,6 +236,12 @@ def _tuple_iter(n: int, k: int):
     return itertools.product(paulialg.enumerate_paulis(n), repeat=k)
 
 
+def _check_tuples(n: int, k: int):
+    """The 4^(nk) k-tuples of n-qubit Paulis within the Pauli tuple budget."""
+    limits.check_budget(4 ** (n * k), limits.MAX_PAULI_TUPLES,
+                        f"4^{n * k} tuples > {limits.MAX_PAULI_TUPLES}", "Pauli tuple budget")
+
+
 def m_tensor_entry(a_ops, c_ops) -> complex:
     """tr{A_1 C_1 A_2 C_2 ... A_k C_k}, exact."""
     factors = []
@@ -267,6 +271,7 @@ def measure_alpha(ens: Ensemble, b_ops, k: int,
     fixed B's, indexed like m_tensor's a-axis."""
     b_ops = tuple(b_ops)
     n = b_ops[0].n
+    _check_tuples(n, k)
     vals = []
     for a_ops in _tuple_iter(n, k):
         est = oto_ensemble_average(ens, OtoSpec(tuple(a_ops), b_ops), mc_samples)
@@ -300,6 +305,7 @@ def channel_coefficients_direct(ens: Ensemble, b_ops, k: int,
     n = b_ops[0].n
     # before the kron, not after it in kfold_channel_apply
     limits.check_dense(2 ** (n * len(b_ops)), "B_1 (x) ... (x) B_k side ")
+    _check_tuples(n, k)  # 4^(nk) coefficients, each a kron and a d^(2k) vdot
     big = pauli_to_dense(b_ops[0])
     for b in b_ops[1:]:
         big = np.kron(big, pauli_to_dense(b))
@@ -314,7 +320,7 @@ def _expand_in_pauli_basis(mat: np.ndarray, n: int, k: int) -> ChannelCoefficien
         basis = pauli_to_dense(c_ops[0])
         for c in c_ops[1:]:
             basis = np.kron(basis, pauli_to_dense(c))
-        coeff = np.trace(basis.conj().T @ mat) / d**k
+        coeff = np.vdot(basis, mat) / d**k  # tr(basis^dag mat), d^(2k) products
         gamma[tuple(c.label() for c in c_ops)] = complex(coeff)
     return ChannelCoefficients(k, n, gamma)
 

@@ -573,6 +573,20 @@ class TestStreamedAverage:
         assert [len(c) for c in chunks] == [2, self.CHUNK, self.CHUNK, 3]
         assert sum(chunks, []) == ens.sample_block(1, 2 * self.CHUNK + 5)
 
+    def test_listed_draws_reach_f_one_at_a_time(self):
+        # a Clifford chunk is a list of tableaux: f gets one draw, or the pair
+        # (2i, 2i + 1), per call, in draw order, across chunk edges
+        ens = cg.clifford_ensemble(2, seed=6)
+        count = self.CHUNK + 5
+        seen = []
+        est = ens.average(lambda c: seen.append(c) or len(seen), mc_samples=count)
+        assert seen == ens.sample_block(6, count)
+        assert est.value == (count + 1) / 2
+        pairs = []
+        ens.average(lambda a, b: pairs.append((a, b)) or len(pairs), pairs=True, mc_samples=count)
+        draws = ens.sample_block(6, 2 * count)
+        assert pairs == list(zip(draws[0::2], draws[1::2]))
+
     def test_byte_budget_keeps_the_draws(self, monkeypatch):
         d, count = 4, 2 * self.CHUNK + 3
         states = []

@@ -186,6 +186,13 @@ class TestFramePotentialViaOto:
         with pytest.raises(ValueError):
             fp.frame_potential_via_oto(dm.pauli_ensemble(2), 3)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_must_be_positive(self, k):
+        # as in frame_potential_exact; k = 0 used to return d^2 from the one
+        # empty tuple, and k = -1 to raise from itertools
+        with pytest.raises(ValueError, match=f"k must be a positive integer, got k={k}$"):
+            fp.frame_potential_via_oto(dm.pauli_ensemble(1), k)
+
 
 class TestTimeAverages:
     def test_analytic(self):

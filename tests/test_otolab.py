@@ -449,6 +449,28 @@ class TestReconstruction:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_tuple_budget_before_any_average_or_kron(self, monkeypatch):
+        # n = 1, k = 2 walks 4^2 = 16 Pauli tuples
+        calls = []
+
+        def counted(name):
+            fn = getattr(otolab, name)
+            monkeypatch.setattr(otolab, name, lambda *a, **kw: calls.append(name) or fn(*a, **kw))
+
+        counted("oto_ensemble_average")
+        counted("pauli_to_dense")
+        ens = dm.pauli_ensemble(1)
+        routes = (otolab.measure_alpha, otolab.channel_coefficients_direct)
+        monkeypatch.setattr(limits, "MAX_PAULI_TUPLES", 15)
+        for route in routes:
+            with pytest.raises(ValueError, match="^Pauli tuple budget exceeded: 4\\^2 tuples > 15$"):
+                route(ens, (X, Z), 2)
+        assert calls == []
+        monkeypatch.setattr(limits, "MAX_PAULI_TUPLES", 16)  # the budget is inclusive
+        for route in routes:
+            route(ens, (X, Z), 2)
+        assert calls.count("oto_ensemble_average") == 16 and "pauli_to_dense" in calls
+
     def test_haar_channel_supported_on_permutations(self):
         # gamma from the Haar reference reassembles into span{W_pi}
         b_ops = (X, X)

@@ -125,3 +125,22 @@ def test_bounds_have_one_home(module):
                  and _is_bound(node.attr)
                  and not (isinstance(node.value, ast.Name) and node.value.id == "limits")]
     assert (assigned, imported, bare, elsewhere) == ([], [], [], [])
+
+
+@pytest.mark.parametrize("module", sorted(set(TREES) - {"densemat.py", "cli.py"}))
+def test_only_densemat_knows_draws_come_as_a_list(module):
+    # Ensemble.average hands an integrand each exact draw of a list chunk
+    # alone, so no integrand branches on a list (cli.py's are JSON values)
+    listed = [node.lineno for node in ast.walk(TREES[module])
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "isinstance" and len(node.args) == 2
+              and any(isinstance(t, ast.Name) and t.id == "list" for t in ast.walk(node.args[1]))]
+    assert listed == []
+
+
+def test_element_to_matrix_takes_one_element():
+    # the runtime side of the rule above: a list of draws is not an element
+    from designlab import cliffordgrp, densemat
+
+    with pytest.raises(TypeError, match="cannot convert ensemble element of type <class 'list'>"):
+        densemat.element_to_matrix(cliffordgrp.clifford_ensemble(2, seed=1).sample_block(1, 2))
